@@ -2,11 +2,13 @@
  * @file
  * Before/after microbenchmarks of the software hot paths this repo
  * optimizes: normal-codec encode, OVP stream encode/decode, the fused
- * fakeQuant round trip, quantizer calibration, and the tiled GEMM
- * kernels.  Every kernel runs its retained *Reference() oracle and its
- * fast path back to back, asserts the outputs are bit-identical, and
- * reports both throughputs plus the speedup.  Results are also written
- * as machine-readable JSON (BENCH_micro.json) so the repository's
+ * fakeQuant round trip, quantizer calibration, the tiled GEMM kernels,
+ * and single-row linearForward (the decode projections' row-dot path)
+ * at the eval-dims weight shapes.  Every kernel runs its retained
+ * *Reference() oracle and its fast path back to back, asserts the
+ * outputs are bit-identical, and reports both throughputs plus the
+ * speedup.  Results are also written as machine-readable JSON
+ * (BENCH_micro.json, host core count in its meta) so the repository's
  * performance trajectory is recorded across PRs.
  *
  * Measurements pin the pool to one thread: these are per-core kernel
@@ -20,9 +22,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "models/config.hpp"
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
 #include "util/args.hpp"
@@ -248,6 +253,43 @@ main(int argc, char **argv)
         rows.push_back(r);
     }
 
+    // --- m=1 linearForward at the eval-dims weight shapes ---------------
+    // The decode projections (QKV/O, FFN in and out) and the LM head,
+    // as (out, in): single-row calls take the row-dot path.  Each call
+    // is ~10-100 us, so the timed body loops `calls` times and the row
+    // reports per-call seconds.
+    const models::ModelConfig eval_cfg = models::gpt2Xl();
+    const size_t d = eval_cfg.evalDModel, ff = eval_cfg.evalDFf;
+    const size_t linear_shapes[][2] = {
+        {d, d}, {ff, d}, {d, ff}, {eval_cfg.evalVocab, d},
+    };
+    const int calls = static_cast<int>(smoke::count(200, 20));
+    for (const auto &shape : linear_shapes) {
+        const size_t n = shape[0], k = shape[1];
+        const std::string name =
+            "linear m1 " + std::to_string(n) + "x" + std::to_string(k);
+        KernelRow r{name, 1.0, "call/s"};
+        const Tensor x = gaussianTensor({1, k}, 3 + n);
+        const Tensor w = gaussianTensor({n, k}, 4 + k);
+        const Tensor bias = gaussianTensor({n}, 5 + n);
+        Tensor ref_c, fast_c;
+        r.refSec = secondsOf(reps, [&] {
+            for (int c = 0; c < calls; ++c) {
+                ref_c = matmulTransBReference(x, w);
+                for (size_t j = 0; j < n; ++j)
+                    ref_c[j] += bias[j];
+            }
+        });
+        r.fastSec = secondsOf(reps, [&] {
+            for (int c = 0; c < calls; ++c)
+                fast_c = linearForward(x, w, bias);
+        });
+        r.refSec /= calls;
+        r.fastSec /= calls;
+        r.identical = sameTensor(ref_c, fast_c);
+        rows.push_back(r);
+    }
+
     // --- axpy ----------------------------------------------------------
     {
         const double mb = static_cast<double>(dim) *
@@ -281,6 +323,8 @@ main(int argc, char **argv)
     report.note("codec_n", std::to_string(codec_n));
     report.note("calibrate_n", std::to_string(calib_n));
     report.note("gemm_dim", std::to_string(dim));
+    report.note("host_cores",
+                std::to_string(std::thread::hardware_concurrency()));
     for (const KernelRow &r : rows) {
         const double rate_ref = r.work / r.refSec;
         const double rate_fast = r.work / r.fastSec;
@@ -294,6 +338,7 @@ main(int argc, char **argv)
             .label("unit", r.unit)
             .metric("ref_sec", r.refSec)
             .metric("fast_sec", r.fastSec)
+            .metric("fast_us", r.fastSec * 1e6)
             .metric("ref_rate", rate_ref)
             .metric("fast_rate", rate_fast)
             .metric("speedup", speedup)

@@ -42,6 +42,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -445,10 +446,21 @@ main(int argc, char **argv)
         batched.prefillChunk = 32;
         serve::ServeConfig stepwise = batched;
         stepwise.prefillChunk = 1;
-        const RunResult fast =
-            runChecked(lm, batched, long_prompts, 2, nthreads);
-        const RunResult slow =
-            runChecked(lm, stepwise, long_prompts, 2, nthreads);
+        // Single-row projections no longer re-transpose W on every
+        // call, so the chunk path now leads the loop by ~1.3-2x instead
+        // of ~7x and one run's median can flip on a loaded host: each
+        // side keeps the best of three alternating runs.
+        RunResult fast, slow;
+        for (int rep = 0; rep < 3; ++rep) {
+            RunResult f = runChecked(lm, batched, long_prompts, 2, nthreads);
+            RunResult s = runChecked(lm, stepwise, long_prompts, 2, nthreads);
+            if (rep == 0 ||
+                f.metrics.ttftMs(50.0) < fast.metrics.ttftMs(50.0))
+                fast = std::move(f);
+            if (rep == 0 ||
+                s.metrics.ttftMs(50.0) < slow.metrics.ttftMs(50.0))
+                slow = std::move(s);
+        }
         OLIVE_ASSERT(fast.byId == slow.byId,
                      "batched prefill changed the generated tokens");
         OLIVE_ASSERT(fast.metrics.ttftSeconds.size() == n_long &&

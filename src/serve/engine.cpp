@@ -203,7 +203,8 @@ ServeEngine::cancel(u64 id)
 }
 
 size_t
-ServeEngine::worstCaseBlocks(const Request &req) const
+ServeEngine::worstCaseBlocks(size_t prompt_len,
+                             size_t max_new_tokens) const
 {
     // The cache never holds more than prompt + maxNew - 1 rows per
     // layer (the final generated token is never fed back).  Reserving
@@ -211,9 +212,16 @@ ServeEngine::worstCaseBlocks(const Request &req) const
     // capacity argument airtight: every block a request references,
     // shared or owned, lies within its own block table, whose length
     // this bounds; so sum(reservations) >= blocks in use always.
-    const size_t rows = req.prompt.size() + req.maxNewTokens - 1;
+    const size_t rows = prompt_len + max_new_tokens - 1;
     const size_t per_layer = (rows + cfg_.blockRows - 1) / cfg_.blockRows;
     return per_layer * model_->backbone.layers.size();
+}
+
+bool
+ServeEngine::fitsPool(size_t prompt_len, size_t max_new_tokens) const
+{
+    return !cfg_.pagedCache || cfg_.poolBlocks == 0 ||
+           worstCaseBlocks(prompt_len, max_new_tokens) <= cfg_.poolBlocks;
 }
 
 void
@@ -362,7 +370,8 @@ ServeEngine::admit()
                                  retained_it);
         }
         if (cfg_.pagedCache && cfg_.poolBlocks > 0) {
-            const size_t need = worstCaseBlocks(cand.req);
+            const size_t need = worstCaseBlocks(cand.req.prompt.size(),
+                                                cand.req.maxNewTokens);
             // Evict retained prefixes before stalling: each eviction
             // releases references outside the reservation sum, so the
             // gate below can only get easier.  The matched entry sits
@@ -390,7 +399,8 @@ ServeEngine::admit()
         if (cfg_.pagedCache) {
             a.state =
                 makePagedDecodeState(model_->backbone, *pool_, dcache_.get());
-            a.reservedBlocks = worstCaseBlocks(a.req);
+            a.reservedBlocks =
+                worstCaseBlocks(a.req.prompt.size(), a.req.maxNewTokens);
             committedBlocks_ += a.reservedBlocks;
             if (retained_it != retained_.end()) {
                 // Seed from the retained prefix of a retired request:

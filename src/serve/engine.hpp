@@ -280,6 +280,16 @@ class ServeEngine
     bool cancel(u64 id) OLIVE_EXCLUDES(mu_);
 
     /**
+     * Whether a request of @p prompt_len prompt tokens and a budget of
+     * @p max_new_tokens can ever be admitted: its worst-case cache fits
+     * the block pool.  Always true when the pool is unbounded
+     * (poolBlocks == 0) or the cache is not paged.  Submitting a
+     * request that fails this is a caller bug (admission asserts);
+     * front ends check it first and reject the request instead.
+     */
+    bool fitsPool(size_t prompt_len, size_t max_new_tokens) const;
+
+    /**
      * Run one continuous-batching step (admit, budget, decode, evict).
      * Returns false — doing nothing — when no work is queued or active.
      * Holds the engine mutex for the whole step: concurrent pollers of
@@ -412,8 +422,9 @@ class ServeEngine
     /** Drop the least-recently-used retained prefix. */
     void evictOldestRetained() OLIVE_REQUIRES(mu_);
 
-    /** Worst-case pool blocks @p req can ever reference, all layers. */
-    size_t worstCaseBlocks(const Request &req) const;
+    /** Worst-case pool blocks a request of @p prompt_len prompt tokens
+     *  and @p max_new_tokens budget can ever reference, all layers. */
+    size_t worstCaseBlocks(size_t prompt_len, size_t max_new_tokens) const;
 
     /** Run up to @p ntok tokens of one request; returns tokens done. */
     size_t runRequest(ActiveRequest &a, size_t ntok, u64 step_no) const;

@@ -218,6 +218,10 @@ Service::handleSubmit(const Json &op, std::ostream &out)
         }
         it->second->apply(req);
     }
+    if (!engine_->fitsPool(req.prompt.size(), req.maxNewTokens)) {
+        emitError(out, "prompt + max_new can never fit the block pool");
+        return;
+    }
 
     const u64 id = engine_->submit(std::move(req.prompt),
                                    req.maxNewTokens,

@@ -24,6 +24,21 @@ constexpr size_t kJTile = 16;
 constexpr size_t kAxpyGrain = 1u << 14;
 
 /**
+ * Row-dot register tile: output columns per tile.  With the 2-row tile
+ * that makes sixteen independent double accumulator chains, sharing
+ * each widened W element across both A rows.
+ */
+constexpr size_t kRowDotCols = 8;
+
+/**
+ * Output columns per parallel chunk of the row-dot kernel.  Chunks
+ * split columns, never the inner dimension, so every element is still
+ * one whole dot product and the result is the same at any thread
+ * count; 128 columns keep an m=1 chunk at ~10 us of work at eval dims.
+ */
+constexpr size_t kRowDotChunk = 128;
+
+/**
  * Core streaming GEMM: C = A(m,k) * B(k,n) [+ bias] with B row-major,
  * given either as floats (@p pbf) or already widened to double
  * (@p pbd; exactly one is non-null).  Cache-blocked over l (kBlock)
@@ -123,6 +138,92 @@ transposeToDouble(const Tensor &b)
     return out;
 }
 
+/**
+ * Rows [0, R) of C = A * W^T [+ bias] over output columns [j0, j1),
+ * reading W in its stored (n, k) layout: each output element is one
+ * dot product of an A row with a W row, accumulated in double from 0.0
+ * over ascending l — the matmulTransBReference order, so the result is
+ * bit-identical to it (and the bias add is streamKernel's).  @p a and
+ * @p c point at the tile's first row.
+ */
+template <size_t R>
+void
+rowDotTile(const float *a, const float *w, size_t k, size_t n,
+           const float *bias, float *c, size_t j0, size_t j1)
+{
+    const auto store = [&](size_t r, size_t j, double acc) {
+        const float v = static_cast<float>(acc);
+        c[r * n + j] = bias ? v + bias[j] : v;
+    };
+    size_t j = j0;
+    for (; j + kRowDotCols <= j1; j += kRowDotCols) {
+        double t[R][kRowDotCols] = {};
+        const float *wj = w + j * k;
+        for (size_t l = 0; l < k; ++l) {
+            double av[R];
+            for (size_t r = 0; r < R; ++r)
+                av[r] = a[r * k + l];
+            for (size_t u = 0; u < kRowDotCols; ++u) {
+                const double wv = wj[u * k + l];
+                for (size_t r = 0; r < R; ++r)
+                    t[r][u] += av[r] * wv;
+            }
+        }
+        for (size_t r = 0; r < R; ++r)
+            for (size_t u = 0; u < kRowDotCols; ++u)
+                store(r, j + u, t[r][u]);
+    }
+    for (; j < j1; ++j) {
+        const float *wj = w + j * k;
+        for (size_t r = 0; r < R; ++r) {
+            double t = 0.0;
+            for (size_t l = 0; l < k; ++l)
+                t += static_cast<double>(a[r * k + l]) * wj[l];
+            store(r, j, t);
+        }
+    }
+}
+
+/**
+ * C = A * W^T [+ bias] for A with few rows: no transpose and no copy
+ * of W.  Output columns split across the pool in kRowDotChunk chunks;
+ * within a chunk A rows go through the row-dot tile two at a time.
+ */
+Tensor
+rowDotKernel(const Tensor &a, const Tensor &w, const float *bias)
+{
+    const size_t m = a.dim(0), k = a.dim(1), n = w.dim(0);
+    Tensor c({m, n});
+    const float *pa = a.raw();
+    const float *pw = w.raw();
+    float *pc = c.raw();
+    par::parallelFor(0, n, kRowDotChunk, [&](size_t j0, size_t j1) {
+        size_t i = 0;
+        for (; i + 2 <= m; i += 2)
+            rowDotTile<2>(pa + i * k, pw, k, n, bias, pc + i * n, j0, j1);
+        if (i < m)
+            rowDotTile<1>(pa + i * k, pw, k, n, bias, pc + i * n, j0, j1);
+    });
+    return c;
+}
+
+/**
+ * C = A * W^T [+ bias], W stored (n, k).  Below kRowDotCrossover rows
+ * the row-dot kernel reads W in place; from there on one O(n*k)
+ * widening transpose turns the strided dot products into the streaming
+ * kernel's unit-stride row passes, which it then amortizes over every
+ * A row.  Both accumulate a(i,l) * w(j,l) in double over ascending l,
+ * so either path is bit-identical to matmulTransBReference.
+ */
+Tensor
+transBKernel(const Tensor &a, const Tensor &w, const float *bias)
+{
+    if (a.dim(0) < kRowDotCrossover)
+        return rowDotKernel(a, w, bias);
+    const std::vector<double> wt = transposeToDouble(w);
+    return streamKernel(a, nullptr, wt.data(), w.dim(0), bias);
+}
+
 } // namespace
 
 Tensor
@@ -138,13 +239,7 @@ matmulTransB(const Tensor &a, const Tensor &b)
 {
     OLIVE_ASSERT(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
     OLIVE_ASSERT(b.dim(1) == a.dim(1), "matmulTransB inner dims must agree");
-    // One O(n*k) widening transpose turns the strided dot products into
-    // the streaming kernel's unit-stride row passes; each output
-    // element still accumulates a(i,l) * b(j,l) in double over
-    // ascending l, so the result is bit-identical to
-    // matmulTransBReference.
-    const std::vector<double> bt = transposeToDouble(b);
-    return streamKernel(a, nullptr, bt.data(), b.dim(0), nullptr);
+    return transBKernel(a, b, nullptr);
 }
 
 Tensor
@@ -154,8 +249,7 @@ linearForward(const Tensor &a, const Tensor &w, const Tensor &bias)
     OLIVE_ASSERT(w.dim(1) == a.dim(1), "matmulTransB inner dims must agree");
     OLIVE_ASSERT(bias.rank() == 1 && bias.dim(0) == w.dim(0),
                  "bias must match output features");
-    const std::vector<double> wt = transposeToDouble(w);
-    return streamKernel(a, nullptr, wt.data(), w.dim(0), bias.raw());
+    return transBKernel(a, w, bias.raw());
 }
 
 void

@@ -13,8 +13,8 @@
  *  - OliveQuantizer: fakeQuantMse == stats::mse(s, fakeQuant(s)) and
  *    calibrate() decision == calibrateReference() decision.
  *  - GEMM: tiled matmul/matmulTransB/linearForward bytewise against the
- *    untiled references, including remainder shapes; parallel axpy
- *    against a serial loop.
+ *    untiled references, including remainder shapes and every row count
+ *    around the row-dot crossover; parallel axpy against a serial loop.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 
 #include "quant/quantizer.hpp"
 #include "tensor/gemm.hpp"
+#include "util/parallel.hpp"
 #include "util/random.hpp"
 #include "util/stats.hpp"
 
@@ -276,6 +277,26 @@ randomTensor(std::initializer_list<size_t> shape, u64 seed)
     return t;
 }
 
+/**
+ * Plant an exactly cancelling pair of huge products in every dot
+ * product: a(i,1) = -a(i,k-2) = 2^40 and w(j,k-2) = w(j,1).  Terms
+ * summed while the huge partial sum is live round to its ulp, far
+ * above float resolution, so the float outputs depend on the
+ * accumulation order and a reordering shows up instead of rounding
+ * away.  Needs k >= 4.
+ */
+void
+plantCancellingPair(Tensor &a, Tensor &w)
+{
+    const size_t k = a.dim(1);
+    for (size_t i = 0; i < a.dim(0); ++i) {
+        a.at(i, 1) = std::ldexp(1.0f, 40);
+        a.at(i, k - 2) = -std::ldexp(1.0f, 40);
+    }
+    for (size_t j = 0; j < w.dim(0); ++j)
+        w.at(j, k - 2) = w.at(j, 1);
+}
+
 bool
 bitEqualTensor(const Tensor &a, const Tensor &b)
 {
@@ -344,6 +365,57 @@ TEST(GemmOracle, LinearForwardMatchesReferencePlusBias)
         for (size_t j = 0; j < n; ++j)
             ref.at(i, j) += bias[j];
     EXPECT_TRUE(bitEqualTensor(fast, ref));
+}
+
+// Every row count on both sides of the row-dot / transpose-and-stream
+// crossover, at the eval-dims weight shapes and at tail shapes where n
+// is not a multiple of the row-dot column tile and k is odd: both
+// paths of matmulTransB (no bias) and linearForward (bias) stay
+// bitwise equal to the reference.  Where k allows, a planted
+// cancelling pair makes the accumulation order observable.
+TEST(GemmOracle, BothTransBPathsMatchReferenceAroundCrossover)
+{
+    using namespace gemm_oracle;
+    // (n, k): the eval-dims shapes, then the tails.
+    const size_t shapes[][2] = {
+        {128, 128}, {256, 128}, {128, 256}, {1024, 128},
+        {35, 41}, {13, 7}, {1, 3}, {9, 129},
+    };
+    for (const auto &s : shapes) {
+        const size_t n = s[0], k = s[1];
+        Tensor w = randomTensor({n, k}, 11 * n + k);
+        const Tensor bias = randomTensor({n}, 17 * n + k);
+        for (size_t m = 1; m <= kRowDotCrossover + 1; ++m) {
+            Tensor a = randomTensor({m, k}, 19 * m + n);
+            if (k >= 4)
+                plantCancellingPair(a, w);
+            Tensor ref = matmulTransBReference(a, w);
+            EXPECT_TRUE(bitEqualTensor(matmulTransB(a, w), ref))
+                << "matmulTransB m=" << m << " n=" << n << " k=" << k;
+            for (size_t i = 0; i < m; ++i)
+                for (size_t j = 0; j < n; ++j)
+                    ref.at(i, j) += bias[j];
+            EXPECT_TRUE(bitEqualTensor(linearForward(a, w, bias), ref))
+                << "linearForward m=" << m << " n=" << n << " k=" << k;
+        }
+    }
+}
+
+// The row-dot kernel splits output columns across the pool; the LM
+// head shape spans several chunks, so a 1-thread and an 8-thread run
+// must produce the same bytes.
+TEST(GemmOracle, RowDotHeadIsThreadCountInvariant)
+{
+    using namespace gemm_oracle;
+    const Tensor a = randomTensor({1, 128}, 23);
+    const Tensor w = randomTensor({1024, 128}, 29);
+    const Tensor bias = randomTensor({1024}, 31);
+    par::setThreadCount(1);
+    const Tensor serial = linearForward(a, w, bias);
+    par::setThreadCount(8);
+    const Tensor parallel = linearForward(a, w, bias);
+    par::setThreadCount(0);
+    EXPECT_TRUE(bitEqualTensor(serial, parallel));
 }
 
 TEST(GemmOracle, ParallelAxpyMatchesSerialLoop)

@@ -5,8 +5,9 @@
  * tokens against driving the engine directly (speculation included),
  * queued backpressure on a tiny pool, mid-stream cancellation draining
  * every block, deadline expiry for queued and active requests, output
- * policies, stats, and error handling.  The ctest serve.service legs
- * pin this binary at OLIVE_THREADS=1 and =8.
+ * policies, stats, and error handling (an oversized submit included).
+ * The ctest serve.service legs pin this binary at OLIVE_THREADS=1 and
+ * =8.
  */
 
 #include <gtest/gtest.h>
@@ -569,6 +570,39 @@ TEST(Service, ErrorEventsKeepTheSessionAlive)
     EXPECT_EQ(done->find("n")->asInt(), 4);
     EXPECT_EQ(events.back().find("event")->asString(), "shutdown");
     EXPECT_EQ(engine.finishedCount(), 1u);
+}
+
+// A submit whose worst-case cache can never fit the block pool is a
+// client error, not an engine abort: the Service rejects it before the
+// engine sees it, and the session serves the next request normally.
+TEST(Service, OversizedSubmitIsRejectedAndSessionContinues)
+{
+    const eval::LmModel lm = tinyLm(68);
+    serve::ServeConfig cfg;
+    cfg.blockRows = 4;
+    // ceil((3 + 64 - 1) / 4) = 17 blocks per layer x 2 layers: far over
+    // the pool.  ceil((3 + 4 - 1) / 4) = 2 x 2 layers = 4: fits.
+    cfg.poolBlocks = 4;
+    serve::ServeEngine engine(lm, cfg);
+    EXPECT_FALSE(engine.fitsPool(3, 64));
+    EXPECT_TRUE(engine.fitsPool(3, 4));
+    std::vector<Json> ops;
+    ops.push_back(submitOp({5, 9, 2}, 64));
+    ops.push_back(submitOp({5, 9, 2}, 4));
+    ops.push_back(Json::object({{"op", "shutdown"}}));
+    const auto events = runSession(engine, {}, ops);
+    validateOrdering(events);
+    ASSERT_FALSE(events.empty());
+    EXPECT_EQ(events.front().find("event")->asString(), "error");
+    EXPECT_EQ(countEvents(events, "error"), 1u);
+    EXPECT_EQ(countEvents(events, "accepted"), 1u);
+    const Json *done = doneEvent(events, 1);
+    ASSERT_NE(done, nullptr);
+    EXPECT_EQ(done->find("reason")->asString(), "length");
+    EXPECT_EQ(done->find("n")->asInt(), 4);
+    EXPECT_EQ(events.back().find("event")->asString(), "shutdown");
+    ASSERT_NE(engine.blockPool(), nullptr);
+    EXPECT_EQ(engine.blockPool()->blocksInUse(), 0u);
 }
 
 TEST(Service, UnknownSubmitFieldIsRejected)
