@@ -26,8 +26,8 @@
  * re-runs olive8 with the working set off for comparison.
  *
  * Two further row pairs pin the batching work: a long-prompt workload
- * served with chunked prefill vs the token-by-token loop (median TTFT
- * must strictly improve, streams bit-identical), and a
+ * served with 32-row vs 1-row prefill chunks (median TTFT must
+ * strictly improve, streams bit-identical), and a
  * repetitive-suffix workload served speculatively vs plain greedy
  * (streams bit-identical, accept rate asserted positive).  A final
  * service-olive4 row scripts the same workload through the
@@ -421,12 +421,12 @@ main(int argc, char **argv)
                   unshared_cfg);
     }
     // Batched-prefill TTFT pair: identical long-prompt workload served
-    // with chunked prefill (forwardChunk slabs) and with the
-    // token-by-token oracle loop, same per-step token budget.  The
+    // with 32-row prefill chunks and with 1-row chunks (the prompt fed
+    // token by token, like decode), same per-step token budget.  The
     // chunked run must strictly beat the loop on median time-to-first-
     // token — the weight matrices stream once per slab instead of once
-    // per row — while the streams stay bit-identical (the loop IS the
-    // oracle the chunk path is tested against).
+    // per row — while the streams stay bit-identical (the chunk size
+    // is pure scheduling).
     Table pt({"Prefill workload", "TTFT p50 ms", "TTFT p99 ms",
               "prefill tok/s", "drafted", "accepted", "accept"});
     {

@@ -175,20 +175,19 @@ main(int argc, char **argv)
 
     serve::ServeConfig scfg;
     scfg.cacheFormat = serve::parseKvCacheFormat(args.get("cache"));
-    scfg.maxBatchTokens = static_cast<size_t>(args.getInt("batch-tokens"));
-    scfg.maxActiveRequests = static_cast<size_t>(args.getInt("max-active"));
+    scfg.maxBatchTokens = args.getSize("batch-tokens", 1);
+    scfg.maxActiveRequests = args.getSize("max-active", 1);
     scfg.pagedCache = args.getBool("paged");
-    scfg.blockRows = static_cast<size_t>(args.getInt("block-rows"));
-    scfg.poolBlocks = static_cast<size_t>(args.getInt("pool-blocks"));
+    scfg.blockRows = args.getSize("block-rows", 1);
+    scfg.poolBlocks = args.getSize("pool-blocks", 0);
     scfg.prefixSharing = args.getBool("share");
     scfg.decodedCache = args.getBool("decoded-cache");
-    scfg.prefillChunk = static_cast<size_t>(args.getInt("prefill-chunk"));
+    scfg.prefillChunk = args.getSize("prefill-chunk", 1);
     scfg.speculate = args.getBool("speculate");
-    scfg.draftLen = static_cast<size_t>(args.getInt("draft-len"));
+    scfg.draftLen = args.getSize("draft-len", 1);
     serve::ServeEngine engine(lm, scfg);
 
-    const serve::LengthCapPolicy cap(
-        static_cast<size_t>(args.getInt("policy-cap")));
+    const serve::LengthCapPolicy cap(args.getSize("policy-cap", 1));
     serve::ServiceConfig svc;
     svc.policies["cap"] = &cap;
     // The demo interleaves submits and explicit steps to show queued

@@ -83,17 +83,15 @@ main(int argc, char **argv)
                            {"seed", "17"}});
     smoke::banner();
 
-    const size_t n_requests =
-        args.get("requests").empty()
-            ? smoke::count(8, 3)
-            : static_cast<size_t>(args.getInt("requests"));
-    const size_t prompt_len =
-        args.get("prompt-len").empty()
-            ? smoke::count(16, 5)
-            : static_cast<size_t>(args.getInt("prompt-len"));
+    const size_t n_requests = args.get("requests").empty()
+                                  ? smoke::count(8, 3)
+                                  : args.getSize("requests", 1);
+    const size_t prompt_len = args.get("prompt-len").empty()
+                                  ? smoke::count(16, 5)
+                                  : args.getSize("prompt-len", 1);
     const size_t max_new = args.get("max-new").empty()
                                ? smoke::count(10, 4)
-                               : static_cast<size_t>(args.getInt("max-new"));
+                               : args.getSize("max-new", 1);
 
     const auto config = models::byName(args.get("model"));
     eval::LmModel lm = eval::makeLm(config, 1234);
@@ -105,20 +103,19 @@ main(int argc, char **argv)
 
     serve::ServeConfig scfg;
     scfg.cacheFormat = serve::parseKvCacheFormat(args.get("cache"));
-    scfg.maxBatchTokens = static_cast<size_t>(args.getInt("batch-tokens"));
-    scfg.maxActiveRequests = static_cast<size_t>(args.getInt("max-active"));
+    scfg.maxBatchTokens = args.getSize("batch-tokens", 1);
+    scfg.maxActiveRequests = args.getSize("max-active", 1);
     scfg.pagedCache = args.getBool("paged");
-    scfg.blockRows = static_cast<size_t>(args.getInt("block-rows"));
-    scfg.poolBlocks = static_cast<size_t>(args.getInt("pool-blocks"));
+    scfg.blockRows = args.getSize("block-rows", 1);
+    scfg.poolBlocks = args.getSize("pool-blocks", 0);
     scfg.prefixSharing = args.getBool("share");
     scfg.retainPrefixes = args.getBool("retain");
-    scfg.retainBlocks = static_cast<size_t>(args.getInt("retain-blocks"));
+    scfg.retainBlocks = args.getSize("retain-blocks", 0);
     scfg.decodedCache = args.getBool("decoded-cache");
-    scfg.decodedCacheBlocks =
-        static_cast<size_t>(args.getInt("decoded-cache-blocks"));
-    scfg.prefillChunk = static_cast<size_t>(args.getInt("prefill-chunk"));
+    scfg.decodedCacheBlocks = args.getSize("decoded-cache-blocks", 0);
+    scfg.prefillChunk = args.getSize("prefill-chunk", 1);
     scfg.speculate = args.getBool("speculate");
-    scfg.draftLen = static_cast<size_t>(args.getInt("draft-len"));
+    scfg.draftLen = args.getSize("draft-len", 1);
     serve::ServeEngine engine(lm, scfg);
 
     std::printf("== Serving demo: %s, %zu-layer eval backbone, d=%zu, "
@@ -180,8 +177,7 @@ main(int argc, char **argv)
         }
         // --stop-tokens N: give every request N random stop tokens,
         // making generation lengths data-dependent.
-        const size_t n_stops =
-            static_cast<size_t>(args.getInt("stop-tokens"));
+        const size_t n_stops = args.getSize("stop-tokens", 0);
         for (size_t r = 0; r < n_requests; ++r) {
             // Varied prompt lengths exercise chunked prefill+admission.
             const size_t len =

@@ -17,8 +17,7 @@ namespace {
 /**
  * Fake-quantize a tensor as an activation if a scheme is given.
  * PerToken calibrates each row independently — for a (1, d) tensor the
- * two granularities coincide, which is what makes forwardStep's
- * single-row quantization the exact per-token counterpart of forward.
+ * two granularities coincide.
  */
 Tensor
 maybeQuantAct(const Tensor &x, Scheme *scheme,
@@ -44,12 +43,11 @@ maybeQuantAct(const Tensor &x, Scheme *scheme,
  * row.size() V rows.  @p qrow / @p pk / @p pv are already offset to
  * the head (column h*dh); K/V rows are strided by @p d.
  *
- * Shared verbatim by selfAttention (attend_len = causal ? i+1 : seq,
- * row length seq) and selfAttentionStep (attend_len = row length =
- * cache length): full forward's masked positions softmax to exactly
- * zero and contribute exact-zero context terms, so the two callers are
- * bit-identical on the common prefix BY CONSTRUCTION — there is one
- * kernel to keep in sync, not two (tests/test_decode_parity.cpp
+ * Used by selfAttention (attend_len = causal ? i+1 : seq, row length
+ * seq), the full forward that the incremental path is checked against:
+ * masked positions softmax to exactly zero and contribute exact-zero
+ * context terms, which is what lets attendRowSpans (below) reproduce it
+ * bit for bit over any cache length (tests/test_decode_parity.cpp
  * asserts the resulting parity exhaustively).
  *
  * Both inner products are register-tiled like tensor/gemm: four score
@@ -138,8 +136,8 @@ attendRow(const float *qrow, const float *pk, const float *pv, size_t d,
  * applies, which softmaxes to exactly 0 and contributes exact-zero
  * context terms.  Batched prefill uses this as the intra-chunk causal
  * mask (row i of a chunk attends [0, pos0+i+1) out of pos0+m cached
- * rows); single-token decode passes attend_len == row.size(), the
- * no-mask case identical to the previous behaviour.
+ * rows); the last row of a chunk — all of a 1-row decode chunk —
+ * passes attend_len == row.size(), the no-mask case.
  */
 void
 attendRowSpans(const float *qrow, const serve::KvSpan *spans, size_t nspans,
@@ -270,56 +268,6 @@ selfAttention(const Tensor &x, const Layer &layer, size_t n_heads,
 }
 
 Tensor
-selfAttentionStep(const Tensor &x, const Layer &layer, size_t n_heads,
-                  serve::KvCache &cache, Scheme *act_scheme)
-{
-    OLIVE_ASSERT(x.rank() == 2 && x.dim(0) == 1, "step input must be (1, d)");
-    const size_t d = x.dim(1);
-    OLIVE_ASSERT(d == cache.dModel(), "cache width must match the model");
-    OLIVE_ASSERT(d % n_heads == 0, "d_model must divide by heads");
-    const size_t dh = d / n_heads;
-    const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
-
-    const Tensor xq = maybeQuantAct(x, act_scheme);
-    Tensor q = layer.q.forward(xq);
-    Tensor k = layer.k.forward(xq);
-    Tensor v = layer.v.forward(xq);
-
-    // Persist this token's K/V through the cache codec, then attend
-    // block-by-block over whatever decoded form the cache serves: one
-    // all-rows scratch span (the retained oracle path), or per-block
-    // spans pinned in the engine's DecodedBlockCache — where only the
-    // tail rows appended since the last step need decoding, making the
-    // per-step codec work O(1) amortized and the transient footprint
-    // bounded by the working set instead of (len, d).
-    cache.append(k.row(0), v.row(0));
-    const size_t len = cache.length();
-
-    // The query is row i = len-1 of the equivalent full forward, so
-    // the causal score range j < i+1 is exactly [0, len): the kernel
-    // runs with no masked tail.  attendRowSpans is attendRow with the
-    // row pointer derived through the span list — bit-identical on the
-    // same rows (see its comment), which keeps the step bit-exact
-    // against the full forward and against the scratch path.
-    Tensor ctx({1, d});
-    const float *pq = q.raw();
-    float *pctx = ctx.raw();
-    cache.withDecoded([&](std::span<const serve::KvSpan> spans) {
-        par::parallelFor(0, n_heads, 1, [&](size_t b, size_t e_) {
-            std::vector<float> row(len);
-            for (size_t h = b; h < e_; ++h) {
-                attendRowSpans(pq + h * dh, spans.data(), spans.size(),
-                               h * dh, d, dh, len, inv_sqrt_dh, row,
-                               pctx + h * dh);
-            }
-        });
-    });
-
-    const Tensor ctxq = maybeQuantAct(ctx, act_scheme);
-    return layer.o.forward(ctxq);
-}
-
-Tensor
 selfAttentionChunk(const Tensor &x, const Layer &layer, size_t n_heads,
                    serve::KvCache &cache, Scheme *act_scheme)
 {
@@ -333,16 +281,21 @@ selfAttentionChunk(const Tensor &x, const Layer &layer, size_t n_heads,
     const float inv_sqrt_dh = 1.0f / std::sqrt(static_cast<float>(dh));
 
     // Per-token quantization: each (1, d) row calibrates independently,
-    // exactly as the m equivalent forwardStep calls would.
+    // so a row's codes do not depend on which chunk carries it.
     const Tensor xq = maybeQuantAct(x, act_scheme, ActQuant::PerToken);
     Tensor q = layer.q.forward(xq);
     Tensor k = layer.k.forward(xq);
     Tensor v = layer.v.forward(xq);
 
-    // Bulk-append the whole chunk's K/V rows, then attend.  Appending
-    // before attending is safe because row i's masked score range
-    // [0, pos0+i+1) never reaches the chunk rows after it — the
-    // intra-chunk causal mask below.
+    // Persist the whole chunk's K/V rows through the cache codec, then
+    // attend block-by-block over whatever decoded form the cache serves:
+    // one all-rows scratch span (the retained oracle path), or per-block
+    // spans pinned in the engine's DecodedBlockCache — where only the
+    // rows appended since the last call need decoding, so a 1-row decode
+    // chunk costs O(1) amortized codec work.  Appending before attending
+    // is safe because row i's masked score range [0, pos0+i+1) never
+    // reaches the chunk rows after it — the intra-chunk causal mask
+    // below.
     const size_t pos0 = cache.length();
     cache.appendRows(k, v);
     const size_t len = pos0 + m;
@@ -350,7 +303,7 @@ selfAttentionChunk(const Tensor &x, const Layer &layer, size_t n_heads,
     // Query row i of the chunk is row pos0+i of the equivalent full
     // forward: it attends [0, pos0+i+1) and sees rows (pos0+i+1, len)
     // only through the -1e30 fill, which softmaxes to exactly zero —
-    // bit-identical to the step loop (see attendRowSpans).  (head, row)
+    // bit-identical to the full forward (see attendRowSpans).  (head, row)
     // pairs flatten into one parallel index space, grain m = one head
     // per chunk, reusing an O(len) score row.
     Tensor ctx({m, d});
@@ -400,38 +353,6 @@ Transformer::forward(const Tensor &x, Scheme *act_scheme,
 }
 
 Tensor
-Transformer::forwardStep(const Tensor &x_t, serve::DecodeState &state,
-                         Scheme *act_scheme) const
-{
-    OLIVE_ASSERT(x_t.rank() == 2 && x_t.dim(0) == 1 && x_t.dim(1) == dModel,
-                 "step input must be (1, d_model)");
-    OLIVE_ASSERT(causal, "incremental decode requires a causal model");
-    OLIVE_ASSERT(state.layers.size() == layers.size(),
-                 "decode state must have one cache per layer");
-    Tensor h = x_t.clone();
-    for (size_t li = 0; li < layers.size(); ++li) {
-        const Layer &layer = layers[li];
-        serve::KvCache &cache = *state.layers[li];
-        OLIVE_ASSERT(cache.length() == state.position,
-                     "cache length is out of sync with the decode position");
-
-        Tensor attn = selfAttentionStep(h, layer, nHeads, cache, act_scheme);
-        Tensor res = ops::add(h, attn);
-        h = ops::layerNorm(res, layer.ln1Gamma, layer.ln1Beta);
-
-        const Tensor hq = maybeQuantAct(h, act_scheme);
-        Tensor f = layer.ff1.forward(hq);
-        ops::gelu(f);
-        const Tensor fq = maybeQuantAct(f, act_scheme);
-        Tensor f2 = layer.ff2.forward(fq);
-        Tensor res2 = ops::add(h, f2);
-        h = ops::layerNorm(res2, layer.ln2Gamma, layer.ln2Beta);
-    }
-    state.position += 1;
-    return h;
-}
-
-Tensor
 Transformer::forwardChunk(const Tensor &x_rows, serve::DecodeState &state,
                           Scheme *act_scheme) const
 {
@@ -446,9 +367,9 @@ Transformer::forwardChunk(const Tensor &x_rows, serve::DecodeState &state,
     // advance layer by layer exactly like the full forward.  Every
     // non-attention op (residual add, LayerNorm, GELU, the linear
     // layers, per-token activation quant) is row-wise, so each row of h
-    // stays bit-identical to the row the token-by-token step loop
-    // computes (the same argument that makes forward() match
-    // forwardStep; BatchedPrefillMatchesStepLoop pins it here).
+    // stays bit-identical to the same row computed in any other chunk
+    // split, 1-row chunks included (ExhaustiveArchitectureSweep pins it
+    // against forward(), BatchedPrefillMatchesStepLoop across codecs).
     const size_t m = x_rows.dim(0);
     Tensor h = x_rows.clone();
     for (size_t li = 0; li < layers.size(); ++li) {

@@ -35,7 +35,7 @@ namespace nn {
  * PerTensor calibrates each activation tensor as a whole (the PTQ
  * evaluation flow).  PerToken calibrates every (1, d) token row
  * independently — the only granularity an incremental decoder can
- * realize, since a step never sees future tokens.  forwardStep always
+ * realize, since a chunk never sees future tokens.  forwardChunk always
  * quantizes per token; forward(..., PerToken) is its bit-exact
  * full-sequence counterpart (see tests/test_decode_parity.cpp).
  */
@@ -82,30 +82,19 @@ struct Transformer
                    ActQuant act_granularity = ActQuant::PerTensor) const;
 
     /**
-     * Incremental decode: process ONE token row @p x_t (1, dModel)
-     * against the KV caches in @p state, appending this token's K/V
-     * per layer and attending over the cached prefix.  Requires a
-     * causal model.  With the FP32 cache scheme the returned row is
-     * bit-identical to row t of forward() over the same prefix
-     * (activation schemes quantize per token, matching
-     * forward(..., ActQuant::PerToken)); quantized cache schemes trade
-     * that exactness for cache bytes, measured by serve::cacheImpact.
-     */
-    Tensor forwardStep(const Tensor &x_t, serve::DecodeState &state,
-                       Scheme *act_scheme = nullptr) const;
-
-    /**
-     * Batched prefill: process @p x_rows (m, dModel) token rows in ONE
-     * pass against the KV caches in @p state — the m-row generalization
-     * of forwardStep, and bit-identical to m consecutive forwardStep
-     * calls over the same rows (tests/test_decode_parity.cpp:
-     * BatchedPrefillMatchesStepLoop).  Each layer bulk-appends all m
+     * Incremental forward: process @p x_rows (m, dModel) token rows in
+     * ONE pass against the KV caches in @p state — a prefill chunk, a
+     * single decode token (m = 1), or a decode token plus speculative
+     * drafts.  Requires a causal model.  Each layer bulk-appends all m
      * K/V rows (KvCache::appendRows) and attends every row i over
-     * cached positions [0, pos0+i+1) via an intra-chunk causal mask, so
-     * the tiled GEMM kernels see an (m, d) batch instead of m (1, d)
-     * slivers.  Activations quantize per token (the only granularity a
-     * decoder can realize), matching forwardStep exactly.  Advances
-     * state.position by m; returns the (m, d) hidden rows.
+     * cached positions [0, pos0+i+1) via an intra-chunk causal mask.
+     * Activations quantize per token (the only granularity a decoder
+     * can realize).  With the FP32 cache scheme row i is bit-identical
+     * to row pos0+i of forward(..., ActQuant::PerToken) over the same
+     * prefix, for every split of a sequence into chunks
+     * (tests/test_decode_parity.cpp); quantized cache schemes trade
+     * that exactness for cache bytes, measured by serve::cacheImpact.
+     * Advances state.position by m; returns the (m, d) hidden rows.
      */
     Tensor forwardChunk(const Tensor &x_rows, serve::DecodeState &state,
                         Scheme *act_scheme = nullptr) const;
@@ -131,21 +120,13 @@ Tensor selfAttention(const Tensor &x, const Layer &layer, size_t n_heads,
                      ActQuant act_granularity = ActQuant::PerTensor);
 
 /**
- * One-token self-attention over a KV cache, used by forwardStep: the
- * token's K/V rows are appended to @p cache (through its codec), then
- * the query attends over the decoded cache.  @p x is (1, d).
- */
-Tensor selfAttentionStep(const Tensor &x, const Layer &layer,
-                         size_t n_heads, serve::KvCache &cache,
-                         Scheme *act_scheme);
-
-/**
- * Chunked self-attention over a KV cache, used by forwardChunk: all m
- * rows of @p x (m, d) are bulk-appended to @p cache, then row i attends
- * over cached positions [0, pos0+i+1) — the intra-chunk causal mask —
- * where pos0 is the cache length before the call.  Bit-identical to m
- * selfAttentionStep calls (masked tail positions softmax to exact zero,
- * see attendRow's comment).
+ * Chunked self-attention over a KV cache, used by forwardChunk: the K/V
+ * rows of all m rows of @p x (m, d) are bulk-appended to @p cache, then
+ * row i attends over cached positions [0, pos0+i+1) — the intra-chunk
+ * causal mask — where pos0 is the cache length before the call.
+ * Masked tail positions softmax to exact zero (see attendRow's
+ * comment), so the result does not depend on how a sequence is split
+ * into chunks.
  */
 Tensor selfAttentionChunk(const Tensor &x, const Layer &layer,
                           size_t n_heads, serve::KvCache &cache,

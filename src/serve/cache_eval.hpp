@@ -3,8 +3,8 @@
  * Evaluation hook for KV-cache quantization: how much does storing the
  * cache through a lossy codec hurt the model, and what does it save?
  *
- * The decode path is run twice per text — once with the candidate
- * scheme, once against the exact full-sequence forward — and the
+ * Each text runs twice — once through the incremental path with the
+ * candidate scheme, once through the exact full-sequence forward — and the
  * divergence is reported as hidden-state MSE, logit MSE, and proxy
  * perplexity (the same teacher-student construction as eval/perplexity,
  * so numbers are comparable with the Table 9 machinery).  For the FP32
@@ -38,8 +38,9 @@ struct CacheImpact
 };
 
 /**
- * Decode @p text token by token through @p scheme-backed KV caches and
- * measure the divergence from the exact full-sequence forward.
+ * Run @p text through the incremental path over @p scheme-backed KV
+ * caches and measure the divergence from the exact full-sequence
+ * forward.
  * Sequences shorter than 2 tokens are skipped (no next-token targets).
  */
 CacheImpact cacheImpact(const eval::LmModel &model,

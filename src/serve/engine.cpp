@@ -82,6 +82,7 @@ ServeEngine::ServeEngine(const eval::LmModel &model, ServeConfig config)
                  "serving needs a causal LM");
     OLIVE_ASSERT(cfg_.maxBatchTokens >= 1, "token budget must be >= 1");
     OLIVE_ASSERT(cfg_.maxActiveRequests >= 1, "batch width must be >= 1");
+    OLIVE_ASSERT(cfg_.prefillChunk >= 1, "prefill chunk must be >= 1");
     if (cfg_.pagedCache) {
         OLIVE_ASSERT(cfg_.blockRows >= 1, "blocks must hold >= 1 row");
         pool_ = std::make_unique<BlockPool>(*scheme_, model.backbone.dModel,
@@ -442,7 +443,6 @@ ServeEngine::runRequest(ActiveRequest &a, size_t ntok, u64 step_no) const
     const size_t d = model_->backbone.dModel;
     const std::vector<int> &prompt = a.req.prompt;
     size_t done = 0;
-    Tensor x({1, d});
     const auto embedInto = [&](int tok, std::span<float> row) {
         const auto trow = model_->embedding.row(static_cast<size_t>(tok));
         std::copy(trow.begin(), trow.end(), row.begin());
@@ -468,114 +468,92 @@ ServeEngine::runRequest(ActiveRequest &a, size_t ntok, u64 step_no) const
         }
         return a.done;
     };
+    // One forwardChunk call per turn.  Prefill feeds a chunk of prompt
+    // rows; decode feeds the last generated token plus whatever the
+    // proposer drafts, so plain decode is the zero-draft case of the
+    // speculative accept/rollback below.
     while (done < ntok) {
         const size_t pos = a.state.position;
-        const size_t prompt_rem =
-            pos < prompt.size() ? prompt.size() - pos : 0;
-
-        // Batched prefill: push a (chunk, d) slab of prompt rows
-        // through forwardChunk in one pass — bit-identical to the
-        // token-by-token loop below (which prefillChunk <= 1 retains
-        // as the oracle), but the GEMMs see a real batch dimension.
-        if (prompt_rem > 1 && cfg_.prefillChunk > 1) {
-            const size_t m = std::min(
-                {ntok - done, prompt_rem, cfg_.prefillChunk});
-            if (m > 1) {
-                Tensor rows({m, d});
-                for (size_t i = 0; i < m; ++i)
-                    embedInto(prompt[pos + i], rows.row(i));
-                const Tensor h = model_->backbone.forwardChunk(
-                    rows, a.state, cfg_.actScheme);
-                done += m;
-                if (pos + m < prompt.size())
-                    continue; // still mid-prefill: no logits needed yet
-                // The chunk ended on the final prompt token: its hidden
-                // row yields the first generated token, exactly as the
-                // step loop's final prefill iteration would.
-                std::copy(h.row(m - 1).begin(), h.row(m - 1).end(),
-                          x.row(0).begin());
-                const Tensor lg = model_->logitsFromHidden(x);
-                extend(ops::argmaxRow(lg.row(0)));
-                break; // one generation turn per step — autoregression
+        std::vector<int> feed;
+        size_t k = 0; // drafted rows behind the feed token
+        if (pos < prompt.size()) {
+            const size_t n = std::min(
+                {ntok - done, prompt.size() - pos, cfg_.prefillChunk});
+            feed.assign(prompt.begin() + static_cast<std::ptrdiff_t>(pos),
+                        prompt.begin() +
+                            static_cast<std::ptrdiff_t>(pos + n));
+        } else {
+            // Decode-phase invariant: position = prompt + generated - 1,
+            // so the newest generated token is the one not yet fed.
+            feed.push_back(a.generated.back());
+            // Speculative decode: draft likely continuations from the
+            // request's own history and verify them in the same call.
+            // Row i's argmax is the TRUE next token whenever rows
+            // [0, i] were fed true stream tokens, so greedy
+            // accept/reject reproduces plain decode bit-for-bit: the
+            // proposer only decides how many tokens this turn
+            // advances, never which ones.
+            if (cfg_.speculate && ntok - done >= 2 &&
+                a.generated.size() + 1 < a.req.maxNewTokens) {
+                std::vector<int> history(prompt);
+                history.insert(history.end(), a.generated.begin(),
+                               a.generated.end());
+                const size_t cap =
+                    std::min({ntok - done - 1, cfg_.draftLen,
+                              a.req.maxNewTokens - a.generated.size() - 1});
+                std::vector<int> drafts = proposer_->propose(history, cap);
+                if (drafts.size() > cap)
+                    drafts.resize(cap); // a proposer may over-draft; clamp
+                k = drafts.size();
+                feed.insert(feed.end(), drafts.begin(), drafts.end());
             }
         }
-
-        // Speculative decode: draft likely continuations from the
-        // request's own history and verify them all in one batched
-        // forwardChunk call.  Row i's argmax is the TRUE next token
-        // whenever rows [0, i] were fed true stream tokens, so greedy
-        // accept/reject reproduces plain decode bit-for-bit: the
-        // proposer only decides how many tokens this turn advances,
-        // never which ones.
-        if (cfg_.speculate && prompt_rem == 0 && ntok - done >= 2 &&
-            a.generated.size() + 1 < a.req.maxNewTokens) {
-            // history = prompt + generated; the feed token history[pos]
-            // is its last element (decode-phase position invariant).
-            std::vector<int> history(prompt);
-            history.insert(history.end(), a.generated.begin(),
-                           a.generated.end());
-            const size_t cap =
-                std::min({ntok - done - 1, cfg_.draftLen,
-                          a.req.maxNewTokens - a.generated.size() - 1});
-            std::vector<int> drafts = proposer_->propose(history, cap);
-            if (drafts.size() > cap)
-                drafts.resize(cap); // a proposer may over-draft; clamp
-            if (!drafts.empty()) {
-                const size_t k = drafts.size();
-                Tensor rows({k + 1, d});
-                embedInto(history[pos], rows.row(0));
-                for (size_t i = 0; i < k; ++i)
-                    embedInto(drafts[i], rows.row(i + 1));
-                const Tensor h = model_->backbone.forwardChunk(
-                    rows, a.state, cfg_.actScheme);
-                // Batched vocab projection: rows are independent in
-                // matmulTransB, so each logits row is bit-identical to
-                // a per-step (1, d) projection.
-                const Tensor lg = model_->logitsFromHidden(h);
-                a.specDrafted += k;
-                done += k + 1; // every verify row costs full compute
-                size_t kept = 1; // row 0's feed is always a true token
-                for (size_t i = 0; i <= k; ++i) {
-                    const int next = ops::argmaxRow(lg.row(i));
-                    const bool matched = i < k && next == drafts[i];
-                    if (matched)
-                        ++a.specAccepted;
-                    if (extend(next) || !matched)
-                        break;
-                    ++kept; // row i+1 was fed the now-confirmed draft
-                }
-                // Roll back the rows fed with rejected (or post-stop)
-                // drafts, restoring cache length == position; the
-                // truncated rows live in exclusively owned tail blocks
-                // (every shareable prefix row precedes them), so no
-                // other request can be affected.
-                if (kept < k + 1) {
-                    const size_t new_len = pos + kept;
-                    for (auto &layer : a.state.layers)
-                        layer->truncate(new_len);
-                    a.state.position = new_len;
-                }
-                break; // one generation turn per step
-            }
-        }
-
-        // Token-by-token path: mid-prefill rows when chunking is off
-        // (or the quota left m == 1), and the plain decode step.
-        const int tok = pos < prompt.size()
-                            ? prompt[pos]
-                            : a.generated[pos - prompt.size()];
-        embedInto(tok, x.row(0));
+        const size_t m = feed.size();
+        Tensor rows({m, d});
+        for (size_t i = 0; i < m; ++i)
+            embedInto(feed[i], rows.row(i));
         const Tensor h =
-            model_->backbone.forwardStep(x, a.state, cfg_.actScheme);
-        ++done;
-        if (pos + 1 < prompt.size())
-            continue; // mid-prefill: no logits needed yet
-        // This was the last prompt token or a decode token: project to
-        // the vocabulary and extend the generation greedily.
-        const Tensor lg = model_->logitsFromHidden(h);
-        extend(ops::argmaxRow(lg.row(0)));
-        // Autoregression: the token just produced is the next step's
-        // input, so a request never decodes twice within one step.
+            model_->backbone.forwardChunk(rows, a.state, cfg_.actScheme);
+        done += m; // every verify row costs full compute
+        if (pos + m < prompt.size())
+            continue; // still mid-prefill: no logits needed yet
+
+        // Rows [m-1-k, m) yield tokens: the final prompt row of a
+        // prefill chunk, or the feed row and every draft row of a
+        // decode turn.  Rows are independent in matmulTransB, so each
+        // logits row is bit-identical to a (1, d) projection.
+        const Tensor *tail = &h;
+        Tensor last;
+        if (m - 1 - k > 0) {
+            last = Tensor({1, d});
+            std::copy(h.row(m - 1).begin(), h.row(m - 1).end(),
+                      last.row(0).begin());
+            tail = &last;
+        }
+        const Tensor lg = model_->logitsFromHidden(*tail);
+        a.specDrafted += k;
+        size_t kept = 1; // row 0's feed is always a true token
+        for (size_t i = 0; i <= k; ++i) {
+            const int next = ops::argmaxRow(lg.row(i));
+            const bool matched = i < k && next == feed[i + 1];
+            if (matched)
+                ++a.specAccepted;
+            if (extend(next) || !matched)
+                break;
+            ++kept; // row i+1 was fed the now-confirmed draft
+        }
+        // Roll back the rows fed with rejected (or post-stop) drafts,
+        // restoring cache length == position; the truncated rows live
+        // in exclusively owned tail blocks (every shareable prefix row
+        // precedes them), so no other request can be affected.
+        if (kept < k + 1) {
+            const size_t new_len = pos + kept;
+            for (auto &layer : a.state.layers)
+                layer->truncate(new_len);
+            a.state.position = new_len;
+        }
+        // Autoregression: the token just produced is the next turn's
+        // input, so a request generates in at most one turn per step.
         break;
     }
     return done;
@@ -636,7 +614,7 @@ ServeEngine::step()
     }
 
     // Execute: requests are independent, so the batch parallelizes
-    // deterministically (forwardStep's inner parallel regions run
+    // deterministically (forwardChunk's inner parallel regions run
     // inline on the worker).
     std::vector<size_t> processed(active_.size(), 0);
     std::vector<size_t> gen_before(active_.size(), 0);

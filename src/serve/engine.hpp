@@ -8,16 +8,17 @@
  * configurable per-step token budget (decode phase: one token, plus up
  * to draftLen speculative drafts; prefill phase: a chunk of the
  * remaining prompt — chunked prefill), and runs the assigned tokens
- * batched across requests with util/parallel.  Prompt chunks go
- * through nn::Transformer::forwardChunk as one (chunk, d) slab
- * (batched prefill); the token-by-token forwardStep loop is retained
- * as the parity oracle (prefillChunk <= 1).  With speculate on, a
- * pluggable Proposer drafts likely continuations that one forwardChunk
- * call verifies against the target logits — greedy accept/reject keeps
- * every stream bit-identical to plain decode, and rejected draft rows
- * roll back via KvCache::truncate before the step ends.  Finished
- * requests are evicted at the end of the step, releasing their
- * KV-cache blocks to the pool's free list without copying a byte.
+ * batched across requests with util/parallel.  Every turn of a request
+ * is one nn::Transformer::forwardChunk call over a few token rows: a
+ * (chunk, d) slab of prompt rows in prefill, and in decode the last
+ * generated token plus any drafts.  With speculate on, a pluggable
+ * Proposer drafts likely continuations that the same call verifies
+ * against the target logits — greedy accept/reject keeps every stream
+ * bit-identical to plain decode (the zero-draft case), and rejected
+ * draft rows roll back via KvCache::truncate before the step ends.
+ * Finished requests are evicted at the end of the step, releasing
+ * their KV-cache blocks to the pool's free list without copying a
+ * byte.
  *
  * KV storage is paged by default (ServeConfig::pagedCache): one global
  * BlockPool per engine holds fixed-size blocks of a few token rows
@@ -125,9 +126,9 @@ struct ServeConfig
 
     /**
      * Batched prefill: prompt rows per Transformer::forwardChunk call
-     * (capped by the step's token quota).  0 or 1 retains the
-     * token-by-token forwardStep loop — the bit-exactness oracle the
-     * parity sweep compares against.
+     * (capped by the step's token quota); must be >= 1.  The value is
+     * pure scheduling — every setting emits the same token streams —
+     * and 1 feeds the prompt token by token.
      */
     size_t prefillChunk = 32;
 

@@ -234,18 +234,6 @@ KvCache::KvCache(const KvScheme &scheme, size_t d)
 }
 
 void
-KvCache::appendRows(const Tensor &k, const Tensor &v)
-{
-    OLIVE_ASSERT(k.rank() == 2 && v.rank() == 2 && k.dim(0) == v.dim(0) &&
-                     k.dim(1) == d_ && v.dim(1) == d_,
-                 "bulk append needs matching (m, d) K and V");
-    // The oracle semantics: m ordinary appends in row order.  Storage
-    // layouts override this for speed, never for different bytes.
-    for (size_t i = 0; i < k.dim(0); ++i)
-        append(k.row(i), v.row(i));
-}
-
-void
 KvCache::withDecoded(
     const std::function<void(std::span<const KvSpan>)> &fn) const
 {
@@ -273,19 +261,23 @@ KvCacheReference::KvCacheReference(const KvScheme &scheme, size_t d)
 }
 
 void
-KvCacheReference::append(std::span<const float> k, std::span<const float> v)
+KvCacheReference::appendRows(const Tensor &k, const Tensor &v)
 {
-    OLIVE_ASSERT(k.size() == d_ && v.size() == d_,
-                 "KV row width must match the cache");
+    OLIVE_ASSERT(k.rank() == 2 && v.rank() == 2 && k.dim(0) == v.dim(0) &&
+                     k.dim(1) == d_ && v.dim(1) == d_,
+                 "append needs matching (m, d) K and V");
+    // The oracle semantics: encode the rows one by one, in row order.
     const size_t rb = scheme_->rowBytes(d_);
-    KvRowMeta km, vm;
-    scheme_->encodeRow(k, kBytes_, km);
-    scheme_->encodeRow(v, vBytes_, vm);
-    OLIVE_ASSERT(kBytes_.size() == (kMeta_.size() + 1) * rb &&
-                     vBytes_.size() == (vMeta_.size() + 1) * rb,
-                 "KV codec appended a payload of unexpected size");
-    kMeta_.push_back(km);
-    vMeta_.push_back(vm);
+    for (size_t i = 0; i < k.dim(0); ++i) {
+        KvRowMeta km, vm;
+        scheme_->encodeRow(k.row(i), kBytes_, km);
+        scheme_->encodeRow(v.row(i), vBytes_, vm);
+        OLIVE_ASSERT(kBytes_.size() == (kMeta_.size() + 1) * rb &&
+                         vBytes_.size() == (vMeta_.size() + 1) * rb,
+                     "KV codec appended a payload of unexpected size");
+        kMeta_.push_back(km);
+        vMeta_.push_back(vm);
+    }
 }
 
 void
@@ -355,42 +347,11 @@ PagedKvCache::~PagedKvCache()
 }
 
 void
-PagedKvCache::append(std::span<const float> k, std::span<const float> v)
-{
-    OLIVE_ASSERT(k.size() == d_ && v.size() == d_,
-                 "KV row width must match the cache");
-    const size_t B = pool_->blockRows();
-    const size_t slot = rows_ % B;
-    if (slot == 0)
-        table_.push_back(pool_->allocate());
-    OLIVE_ASSERT(rows_ / B == table_.size() - 1,
-                 "block table is out of sync with the row count");
-    const u32 tail = table_.back();
-    OLIVE_ASSERT(pool_->refcount(tail) == 1,
-                 "appending into a shared block (tail must be exclusive)");
-    // The codec appends into a staging vector (its contract); the row
-    // is then placed into the block slot.  Same bytes per row as the
-    // contiguous layout by construction.
-    const size_t rb = pool_->rowBytes();
-    scratch_.clear();
-    scheme_->encodeRow(k, scratch_, pool_->kMeta(tail, slot));
-    OLIVE_ASSERT(scratch_.size() == rb,
-                 "KV codec appended a payload of unexpected size");
-    std::memcpy(pool_->kRow(tail, slot), scratch_.data(), rb);
-    scratch_.clear();
-    scheme_->encodeRow(v, scratch_, pool_->vMeta(tail, slot));
-    OLIVE_ASSERT(scratch_.size() == rb,
-                 "KV codec appended a payload of unexpected size");
-    std::memcpy(pool_->vRow(tail, slot), scratch_.data(), rb);
-    ++rows_;
-}
-
-void
 PagedKvCache::appendRows(const Tensor &k, const Tensor &v)
 {
     OLIVE_ASSERT(k.rank() == 2 && v.rank() == 2 && k.dim(0) == v.dim(0) &&
                      k.dim(1) == d_ && v.dim(1) == d_,
-                 "bulk append needs matching (m, d) K and V");
+                 "append needs matching (m, d) K and V");
     const size_t m = k.dim(0);
     if (m == 0)
         return;
@@ -399,19 +360,19 @@ PagedKvCache::appendRows(const Tensor &k, const Tensor &v)
     // Allocate every block the chunk spills into up front, so the
     // per-row encode below touches no pool structure and can run in
     // parallel.  Each receiving block — the current tail included — is
-    // exclusively owned (the append-once invariant bulk append must
-    // preserve just like append()).
+    // exclusively owned (the append-once invariant: a shared block is
+    // full and immutable).
     while (table_.size() * B < start + m)
         table_.push_back(pool_->allocate());
     for (size_t b = start / B; b < table_.size(); ++b)
         OLIVE_ASSERT(pool_->refcount(table_[b]) == 1,
-                     "bulk-appending into a shared block (tail blocks "
-                     "must be exclusive)");
+                     "appending into a shared block (tail blocks must be "
+                     "exclusive)");
     const size_t rb = pool_->rowBytes();
     // Rows encode to disjoint slots through a pure per-row codec, so
     // the fan-out is deterministic at any thread count and byte-equal
-    // to m sequential append() calls; with prefill chunks this is where
-    // the OVP calibration cost actually parallelizes.
+    // to KvCacheReference's in-order loop; with prefill chunks this is
+    // where the OVP calibration cost actually parallelizes.
     par::parallelFor(0, m, 1, [&](size_t bgn, size_t end) {
         std::vector<u8> scratch;
         for (size_t i = bgn; i < end; ++i) {

@@ -14,7 +14,7 @@
  * stream; only the transient working set is FP32.
  *
  * Formats: FP32 passthrough (bit-exact — the decode-parity contract of
- * nn::Transformer::forwardStep is stated against it), OVP at 4 or 8
+ * nn::Transformer::forwardChunk is stated against it), OVP at 4 or 8
  * bits (per-row OliveQuantizer calibration, the paper's method), and a
  * symmetric per-row int8 baseline (the standard "KV cache in int8"
  * deployment, no outlier mechanism).
@@ -187,9 +187,10 @@ struct KvSpan
 
 /**
  * One transformer layer's K and V rows for one request, stored through
- * a KvScheme.  append() encodes one token's K and V projection rows;
- * decodeK/decodeV materialize the whole cache into (length, d) scratch
- * tensors for the attention kernel.
+ * a KvScheme.  appendRows() encodes a chunk of tokens' K and V
+ * projection rows — the only write into a cache; decodeK/decodeV
+ * materialize the whole cache into (length, d) scratch tensors for the
+ * attention kernel.
  *
  * Two storage layouts implement the interface: KvCacheReference keeps
  * one contiguous byte stream per (request, layer) — the original
@@ -210,20 +211,15 @@ class KvCache
     KvCache(const KvCache &) = delete;
     KvCache &operator=(const KvCache &) = delete;
 
-    /** Append one token's K and V rows (each of d elements). */
-    virtual void append(std::span<const float> k,
-                        std::span<const float> v) = 0;
-
     /**
-     * Bulk-append @p k / @p v (m, d): row i of each lands at logical
-     * position length()+i, in ascending order — byte-identical storage
-     * to m append() calls, because the codec encodes each row as a pure
-     * function of that row alone.  The base implementation IS the
-     * append() loop (the oracle); PagedKvCache overrides it to allocate
-     * the covering blocks up front and encode the rows in parallel —
-     * batched prefill's cache-write path.
+     * Append @p k / @p v (m, d): row i of each lands at logical
+     * position length()+i.  The codec encodes each row as a pure
+     * function of that row alone, so the stored bytes do not depend on
+     * how a sequence of rows is split into calls.  KvCacheReference
+     * encodes the rows in order (the oracle); PagedKvCache allocates
+     * the covering blocks up front and encodes the rows in parallel.
      */
-    virtual void appendRows(const Tensor &k, const Tensor &v);
+    virtual void appendRows(const Tensor &k, const Tensor &v) = 0;
 
     /**
      * Drop rows [new_len, length()) — speculative decode's rollback of
@@ -291,8 +287,7 @@ class KvCacheReference final : public KvCache
   public:
     KvCacheReference(const KvScheme &scheme, size_t d);
 
-    void append(std::span<const float> k,
-                std::span<const float> v) override;
+    void appendRows(const Tensor &k, const Tensor &v) override;
     void truncate(size_t new_len) override;
     size_t length() const override { return kMeta_.size(); }
     void decodeK(Tensor &out) const override;
@@ -334,8 +329,6 @@ class PagedKvCache final : public KvCache
     PagedKvCache(PagedKvCache &&) = delete;
     PagedKvCache &operator=(PagedKvCache &&) = delete;
 
-    void append(std::span<const float> k,
-                std::span<const float> v) override;
     void appendRows(const Tensor &k, const Tensor &v) override;
     void truncate(size_t new_len) override;
     size_t length() const override { return rows_; }
@@ -384,7 +377,6 @@ class PagedKvCache final : public KvCache
     DecodedBlockCache *dcache_; //!< Optional; engine-owned, shared.
     std::vector<u32> table_;
     size_t rows_ = 0;
-    std::vector<u8> scratch_; //!< Encode staging for one row.
 };
 
 /**
@@ -392,7 +384,7 @@ class PagedKvCache final : public KvCache
  * layer plus the next position to fill.  Built by makeDecodeState
  * (contiguous reference caches) or makePagedDecodeState (block-table
  * caches over a shared pool) and advanced by
- * nn::Transformer::forwardStep.
+ * nn::Transformer::forwardChunk.
  */
 struct DecodeState
 {

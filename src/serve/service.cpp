@@ -223,11 +223,14 @@ Service::handleSubmit(const Json &op, std::ostream &out)
         return;
     }
 
+    // Count the request before the engine queues it: another thread's
+    // cancel can retire it the moment it is queued, and a stats reader
+    // must never see more finished than submitted.
+    ++submitted_;
     const u64 id = engine_->submit(std::move(req.prompt),
                                    req.maxNewTokens,
                                    std::move(req.stopTokens),
                                    req.priority);
-    ++submitted_;
     if (deadline_ms >= 0) {
         deadlines_[id] = std::chrono::steady_clock::now() +
                          std::chrono::milliseconds(deadline_ms);

@@ -161,8 +161,8 @@ class Service
      *  boundary; safe from any thread. */
     void requestShutdown() { shutdown_.store(true); }
 
-    /** Ids submitted over the session's lifetime (driving thread). */
-    size_t submittedCount() const { return submitted_; }
+    /** Ids submitted over the session's lifetime; any thread. */
+    size_t submittedCount() const { return submitted_.load(); }
 
   private:
     /** Dispatch one op line; false after a shutdown op (loop exits). */
@@ -201,9 +201,13 @@ class Service
     ServeEngine *engine_;
     ServiceConfig cfg_;
     std::atomic<bool> shutdown_{false};
+    /** Requests accepted this session.  Written by the driving thread
+     *  before the engine queues the request, so a reader that takes a
+     *  finished count from an engine snapshot and then reads this
+     *  never sees fewer submitted than finished. */
+    std::atomic<size_t> submitted_{0};
 
     // ---- driving-thread state (only run()'s thread touches it) ----
-    size_t submitted_ = 0;        //!< Requests accepted this session.
     size_t finishedCursor_ = 0;   //!< finished() entries already emitted.
     std::map<u64, size_t> emittedTokens_; //!< Token events per request.
     std::set<u64> queuedEmitted_;

@@ -1,6 +1,7 @@
 #include "args.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -114,6 +115,20 @@ long
 Args::getInt(const std::string &name) const
 {
     return std::stol(get(name));
+}
+
+size_t
+Args::getSize(const std::string &name, size_t min) const
+{
+    const std::string &v = get(name);
+    size_t n = 0;
+    const char *end = v.data() + v.size();
+    // from_chars into an unsigned type rejects a leading '-' outright.
+    const auto [stop, ec] = std::from_chars(v.data(), end, n);
+    if (ec != std::errc() || stop != end || n < min)
+        OLIVE_FATAL("--" + name + " takes an integer >= " +
+                    std::to_string(min) + " (got \"" + v + "\")");
+    return n;
 }
 
 double

@@ -45,6 +45,14 @@ class Args
     /** Integer value of @p name. */
     long getInt(const std::string &name) const;
 
+    /**
+     * Non-negative count value of @p name: a decimal integer >= @p min.
+     * Anything else (a negative number, trailing junk, a value past
+     * SIZE_MAX) is a fatal user error naming the flag and its bound,
+     * so "-1" can never wrap to SIZE_MAX.
+     */
+    size_t getSize(const std::string &name, size_t min) const;
+
     /** Double value of @p name. */
     double getDouble(const std::string &name) const;
 

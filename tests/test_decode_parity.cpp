@@ -1,10 +1,11 @@
 /**
  * @file
- * Decode-vs-full-forward parity: nn::Transformer::forwardStep over an
+ * Decode-vs-full-forward parity: nn::Transformer::forwardChunk over an
  * FP32 KV cache must reproduce Transformer::forward bit-exactly on
- * every prefix — the contract the serving engine is built on.  The
- * sweep is exhaustive over small causal architectures (layer counts,
- * head counts, widths, sequence lengths spanning the attention kernel's
+ * every prefix and for every chunk size, 1-row decode chunks included
+ * — the contract the serving engine is built on.  The sweep is
+ * exhaustive over small causal architectures (layer counts, head
+ * counts, widths, sequence lengths spanning the attention kernel's
  * 4-wide tile boundaries), with and without activation quantization
  * schemes (which quantize per token in both paths:
  * forward(..., ActQuant::PerToken)).
@@ -17,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -64,28 +66,43 @@ randomInput(size_t seq, size_t d, u64 seed)
     return x;
 }
 
+/** Copy rows [pos, pos + n) of @p x into a fresh (n, d) slab. */
+Tensor
+rowsOf(const Tensor &x, size_t pos, size_t n)
+{
+    Tensor slab({n, x.dim(1)});
+    for (size_t i = 0; i < n; ++i) {
+        auto src = x.row(pos + i);
+        std::copy(src.begin(), src.end(), slab.row(i).begin());
+    }
+    return slab;
+}
+
 /**
- * Assert that stepping through an FP32 cache reproduces the full
- * forward bit-exactly at every prefix length.
+ * Assert that feeding @p x through an FP32 cache in @p chunk-row
+ * forwardChunk calls (chunk = 1 is token-by-token decode) reproduces
+ * the full forward bit-exactly at every prefix length.
  */
 void
 expectParity(const nn::Transformer &model, const Tensor &x,
-             Scheme *act_scheme)
+             Scheme *act_scheme, size_t chunk)
 {
     const Tensor full =
         model.forward(x, act_scheme, nn::ActQuant::PerToken);
 
     const serve::Fp32KvScheme fp32;
     serve::DecodeState state = serve::makeDecodeState(model, fp32);
-    Tensor x_t({1, x.dim(1)});
-    for (size_t t = 0; t < x.dim(0); ++t) {
-        auto src = x.row(t);
-        std::copy(src.begin(), src.end(), x_t.row(0).begin());
-        const Tensor h = model.forwardStep(x_t, state, act_scheme);
+    for (size_t pos = 0; pos < x.dim(0);) {
+        const size_t n = std::min(chunk, x.dim(0) - pos);
+        const Tensor h =
+            model.forwardChunk(rowsOf(x, pos, n), state, act_scheme);
         // Causality makes row t of the full forward the ground truth
-        // for step t, for every prefix.
-        ASSERT_TRUE(bitIdentical(h.row(0), full.row(t)))
-            << "prefix " << t + 1 << " of " << x.dim(0);
+        // for position t, for every prefix.
+        for (size_t i = 0; i < n; ++i)
+            ASSERT_TRUE(bitIdentical(h.row(i), full.row(pos + i)))
+                << "prefix " << pos + i + 1 << " of " << x.dim(0)
+                << ", chunk " << chunk;
+        pos += n;
     }
     EXPECT_EQ(state.position, x.dim(0));
 }
@@ -102,18 +119,22 @@ TEST(DecodeParity, ExhaustiveArchitectureSweep)
         {1, 8, 1, 16}, {1, 8, 2, 16},  {2, 12, 4, 24},
         {2, 16, 2, 32}, {3, 12, 2, 20}, {1, 6, 2, 12},
     };
-    // Sequence lengths around the 4-wide score tile boundary.
+    // Sequence lengths around the 4-wide score tile boundary, each fed
+    // token by token, in 2- and 3-row chunks, and as one whole chunk.
     const size_t seqs[] = {1, 2, 3, 4, 5, 7, 9};
     u64 seed = 100;
     for (const auto &a : archs) {
         const nn::Transformer m =
             causalBackbone(a.layers, a.d, a.heads, a.ff, ++seed);
         for (size_t seq : seqs) {
-            SCOPED_TRACE(testing::Message()
-                         << "layers=" << a.layers << " d=" << a.d
-                         << " heads=" << a.heads << " seq=" << seq);
-            expectParity(m, randomInput(seq, a.d, seed * 31 + seq),
-                         nullptr);
+            const Tensor x = randomInput(seq, a.d, seed * 31 + seq);
+            for (size_t chunk : {size_t{1}, size_t{2}, size_t{3}, seq}) {
+                SCOPED_TRACE(testing::Message()
+                             << "layers=" << a.layers << " d=" << a.d
+                             << " heads=" << a.heads << " seq=" << seq
+                             << " chunk=" << chunk);
+                expectParity(m, x, nullptr, chunk);
+            }
         }
     }
 }
@@ -124,7 +145,7 @@ TEST(DecodeParity, WithOliveActivationScheme)
     const nn::Transformer m = causalBackbone(2, 12, 2, 24, 7);
     for (size_t seq : {1u, 3u, 5u, 8u}) {
         SCOPED_TRACE(seq);
-        expectParity(m, randomInput(seq, 12, 900 + seq), &olive4);
+        expectParity(m, randomInput(seq, 12, 900 + seq), &olive4, 1);
     }
 }
 
@@ -134,7 +155,7 @@ TEST(DecodeParity, WithInt8ActivationScheme)
     const nn::Transformer m = causalBackbone(2, 16, 4, 32, 8);
     for (size_t seq : {2u, 4u, 6u}) {
         SCOPED_TRACE(seq);
-        expectParity(m, randomInput(seq, 16, 1700 + seq), &int8);
+        expectParity(m, randomInput(seq, 16, 1700 + seq), &int8, 1);
     }
 }
 
@@ -147,7 +168,7 @@ TEST(DecodeParity, RealisticBackboneWithOutlierInput)
     m.causal = true;
     Rng rng(22);
     const Tensor x = models::makeInputSequence(config, 10, rng);
-    expectParity(m, x, nullptr);
+    expectParity(m, x, nullptr, 1);
 }
 
 TEST(DecodeParity, PerTokenGranularityMatchesPerTensorOnSingleRows)
@@ -166,7 +187,7 @@ TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
 {
     // Block-table attention (attendRowSpans over DecodedBlockCache
     // leases) against the retained scratch-materializing path, bitwise
-    // on every step output: architectures x all four KV codecs x
+    // on every 1-row decode output: architectures x all four KV codecs x
     // blockRows 1..5 (span boundaries landing on, inside, and past the
     // kernel's 4-wide tiles) x every prefix of a 9-token sequence.
     // Four cache paths step in lockstep — contiguous reference, paged
@@ -217,17 +238,14 @@ TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
                 serve::DecodeState tiny =
                     serve::makePagedDecodeState(m, pool_1, &dc_1);
 
-                Tensor x_t({1, a.d});
                 for (size_t t = 0; t < seq; ++t) {
-                    auto src = x.row(t);
-                    std::copy(src.begin(), src.end(),
-                              x_t.row(0).begin());
-                    const Tensor h0 = m.forwardStep(x_t, ref, nullptr);
+                    const Tensor x_t = rowsOf(x, t, 1);
+                    const Tensor h0 = m.forwardChunk(x_t, ref, nullptr);
                     const Tensor h1 =
-                        m.forwardStep(x_t, scratch, nullptr);
+                        m.forwardChunk(x_t, scratch, nullptr);
                     const Tensor h2 =
-                        m.forwardStep(x_t, unbounded, nullptr);
-                    const Tensor h3 = m.forwardStep(x_t, tiny, nullptr);
+                        m.forwardChunk(x_t, unbounded, nullptr);
+                    const Tensor h3 = m.forwardChunk(x_t, tiny, nullptr);
                     ASSERT_TRUE(bitIdentical(h1.row(0), h0.row(0)))
                         << "paged-scratch diverged at prefix " << t + 1;
                     ASSERT_TRUE(bitIdentical(h2.row(0), h0.row(0)))
@@ -256,7 +274,7 @@ TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
  * Assert that two decode states hold bitwise-identical KV planes at
  * every layer (decoded through each cache's own codec — decode is a
  * pure function of the stored bytes, so equal planes certify the
- * chunked writes landed the same values the step loop wrote).
+ * chunked writes landed the same values the 1-row loop wrote).
  */
 void
 expectCachesMatch(const serve::DecodeState &a, const serve::DecodeState &b)
@@ -285,14 +303,15 @@ expectCachesMatch(const serve::DecodeState &a, const serve::DecodeState &b)
 
 TEST(DecodeParity, BatchedPrefillMatchesStepLoop)
 {
-    // forwardChunk over an m-row slab must equal m consecutive
-    // forwardStep calls bit-for-bit: every hidden row AND every cache
-    // byte.  Swept over architectures x prompt lengths x all four KV
-    // codecs x chunk sizes (chunks that divide the prompt, leave a
-    // remainder, and exceed it — the last is the whole-prompt-at-once
-    // case).  The step loop runs on the contiguous reference cache;
-    // the chunked run is repeated on reference AND paged storage, so
-    // the sweep pins both KvCache::appendRows (sequential) and
+    // forwardChunk over an m-row slab must equal m consecutive 1-row
+    // forwardChunk calls (the decode step) bit-for-bit: every hidden
+    // row AND every cache byte.  Swept over architectures x prompt
+    // lengths x all four KV codecs x chunk sizes (chunks that divide
+    // the prompt, leave a remainder, and exceed it — the last is the
+    // whole-prompt-at-once case).  The 1-row loop runs on the
+    // contiguous reference cache; the chunked run is repeated on
+    // reference AND paged storage, so the sweep pins both
+    // KvCacheReference::appendRows (sequential) and
     // PagedKvCache::appendRows (parallel bulk encode) against the same
     // oracle.
     const struct
@@ -313,17 +332,13 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoop)
             for (size_t seq : seqs) {
                 const Tensor x =
                     randomInput(seq, a.d, seed * 17 + seq);
-                // Step-loop oracle: outputs recorded per position.
+                // 1-row oracle: outputs recorded per position.
                 serve::DecodeState oracle =
                     serve::makeDecodeState(m, *scheme);
                 std::vector<Tensor> outs;
-                Tensor x_t({1, a.d});
-                for (size_t t = 0; t < seq; ++t) {
-                    auto src = x.row(t);
-                    std::copy(src.begin(), src.end(),
-                              x_t.row(0).begin());
-                    outs.push_back(m.forwardStep(x_t, oracle, nullptr));
-                }
+                for (size_t t = 0; t < seq; ++t)
+                    outs.push_back(
+                        m.forwardChunk(rowsOf(x, t, 1), oracle, nullptr));
                 for (size_t chunk : chunks) {
                     SCOPED_TRACE(testing::Message()
                                  << scheme->name() << " d=" << a.d
@@ -339,14 +354,8 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoop)
                         while (pos < seq) {
                             const size_t mm =
                                 std::min(chunk, seq - pos);
-                            Tensor slab({mm, a.d});
-                            for (size_t i = 0; i < mm; ++i) {
-                                auto src = x.row(pos + i);
-                                std::copy(src.begin(), src.end(),
-                                          slab.row(i).begin());
-                            }
-                            const Tensor h =
-                                m.forwardChunk(slab, *st, nullptr);
+                            const Tensor h = m.forwardChunk(
+                                rowsOf(x, pos, mm), *st, nullptr);
                             for (size_t i = 0; i < mm; ++i)
                                 ASSERT_TRUE(bitIdentical(
                                     h.row(i), outs[pos + i].row(0)))
@@ -366,7 +375,7 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoopWithActScheme)
 {
     // Per-token activation quantization: the chunked path quantizes
     // each row independently (ActQuant::PerToken), so the slab sees
-    // the same codes the step loop produced row by row.
+    // the same codes the 1-row loop produced row by row.
     OliveScheme olive4(4);
     const nn::Transformer m = causalBackbone(2, 12, 2, 24, 77);
     const size_t seq = 7;
@@ -375,24 +384,15 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoopWithActScheme)
 
     serve::DecodeState oracle = serve::makeDecodeState(m, fp32);
     std::vector<Tensor> outs;
-    Tensor x_t({1, 12});
-    for (size_t t = 0; t < seq; ++t) {
-        auto src = x.row(t);
-        std::copy(src.begin(), src.end(), x_t.row(0).begin());
-        outs.push_back(m.forwardStep(x_t, oracle, &olive4));
-    }
+    for (size_t t = 0; t < seq; ++t)
+        outs.push_back(m.forwardChunk(rowsOf(x, t, 1), oracle, &olive4));
     for (size_t chunk : {2u, 3u, 7u}) {
         SCOPED_TRACE(chunk);
         serve::DecodeState st = serve::makeDecodeState(m, fp32);
         size_t pos = 0;
         while (pos < seq) {
             const size_t mm = std::min<size_t>(chunk, seq - pos);
-            Tensor slab({mm, 12});
-            for (size_t i = 0; i < mm; ++i) {
-                auto src = x.row(pos + i);
-                std::copy(src.begin(), src.end(), slab.row(i).begin());
-            }
-            const Tensor h = m.forwardChunk(slab, st, &olive4);
+            const Tensor h = m.forwardChunk(rowsOf(x, pos, mm), st, &olive4);
             for (size_t i = 0; i < mm; ++i)
                 ASSERT_TRUE(
                     bitIdentical(h.row(i), outs[pos + i].row(0)))
@@ -405,7 +405,7 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoopWithActScheme)
 
 TEST(DecodeParity, StepOutputsAreIndependentOfLaterTokens)
 {
-    // Stepping a longer sequence never revises earlier outputs: the
+    // Decoding a longer sequence never revises earlier outputs: the
     // cache-append-only design is prefix-stable like the causal mask.
     const nn::Transformer m = causalBackbone(2, 12, 4, 24, 50);
     const Tensor x = randomInput(6, 12, 51);
@@ -413,17 +413,11 @@ TEST(DecodeParity, StepOutputsAreIndependentOfLaterTokens)
     const serve::Fp32KvScheme fp32;
     serve::DecodeState s1 = serve::makeDecodeState(m, fp32);
     serve::DecodeState s2 = serve::makeDecodeState(m, fp32);
-    Tensor x_t({1, 12});
     std::vector<Tensor> outs;
-    for (size_t t = 0; t < 6; ++t) {
-        auto src = x.row(t);
-        std::copy(src.begin(), src.end(), x_t.row(0).begin());
-        outs.push_back(m.forwardStep(x_t, s1, nullptr));
-    }
+    for (size_t t = 0; t < 6; ++t)
+        outs.push_back(m.forwardChunk(rowsOf(x, t, 1), s1, nullptr));
     for (size_t t = 0; t < 3; ++t) {
-        auto src = x.row(t);
-        std::copy(src.begin(), src.end(), x_t.row(0).begin());
-        const Tensor h = m.forwardStep(x_t, s2, nullptr);
+        const Tensor h = m.forwardChunk(rowsOf(x, t, 1), s2, nullptr);
         EXPECT_TRUE(bitIdentical(h.row(0), outs[t].row(0))) << t;
     }
 }

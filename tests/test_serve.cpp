@@ -49,6 +49,14 @@ outlierRow(size_t n, u64 seed)
     return xs;
 }
 
+/** Append one token's K and V rows to @p cache as a (1, d) chunk. */
+void
+appendRow(serve::KvCache &cache, const std::vector<float> &k,
+          const std::vector<float> &v)
+{
+    cache.appendRows(Tensor({1, k.size()}, k), Tensor({1, v.size()}, v));
+}
+
 /** Restores the ambient pool size when a test returns. */
 struct ThreadCountGuard
 {
@@ -259,8 +267,8 @@ TEST(KvCache, ByteAccountingAndCompression)
     for (size_t i = 0; i < rows; ++i) {
         const auto k = outlierRow(d, 100 + i);
         const auto v = outlierRow(d, 200 + i);
-        cache_fp32.append(k, v);
-        cache_ovp.append(k, v);
+        appendRow(cache_fp32, k, v);
+        appendRow(cache_ovp, k, v);
     }
     EXPECT_EQ(cache_fp32.length(), rows);
     EXPECT_EQ(cache_fp32.fp32Bytes(), 2 * rows * d * sizeof(float));
@@ -311,8 +319,8 @@ TEST(PagedKvCache, DecodesBitIdenticalToReferenceLayout)
         for (size_t i = 0; i < rows; ++i) {
             const auto k = outlierRow(d, 300 + i);
             const auto v = outlierRow(d, 400 + i);
-            paged.append(k, v);
-            ref.append(k, v);
+            appendRow(paged, k, v);
+            appendRow(ref, k, v);
         }
         EXPECT_EQ(paged.length(), rows);
         EXPECT_EQ(paged.blockCount(), 3u);
@@ -335,7 +343,7 @@ TEST(PagedKvCache, ShareFromRefcountsFullBlocksAndCopiesThePartial)
     serve::BlockPool pool(fp32, d, B);
     auto donor = std::make_unique<serve::PagedKvCache>(pool);
     for (size_t i = 0; i < 10; ++i)
-        donor->append(outlierRow(d, 500 + i), outlierRow(d, 600 + i));
+        appendRow(*donor, outlierRow(d, 500 + i), outlierRow(d, 600 + i));
     ASSERT_EQ(donor->blockCount(), 3u); // 4 + 4 + 2 rows
 
     serve::PagedKvCache sharer(pool);
@@ -356,7 +364,7 @@ TEST(PagedKvCache, ShareFromRefcountsFullBlocksAndCopiesThePartial)
 
     // Shared rows decode bit-identical to the donor's prefix; the
     // sharer can append divergent rows without touching the donor.
-    sharer.append(outlierRow(d, 700), outlierRow(d, 701));
+    appendRow(sharer, outlierRow(d, 700), outlierRow(d, 701));
     Tensor sk({10, d}), dk({10, d});
     sharer.decodeK(sk);
     donor->decodeK(dk);
@@ -660,15 +668,15 @@ TEST(ServeEngine, PerTokenActivationSchemeSupported)
 
 TEST(ServeEngine, PrefillChunkIsTokenStreamInvisible)
 {
-    // The prefill chunk size is pure scheduling: 0 and 1 run the
-    // token-by-token oracle loop, larger values the batched
-    // forwardChunk path, and every setting must emit identical
-    // streams.  TTFT bookkeeping rides along: one sample per request.
+    // The prefill chunk size is pure scheduling: 1 feeds the prompt
+    // token by token, larger values in multi-row forwardChunk slabs,
+    // and every setting must emit identical streams.  TTFT
+    // bookkeeping rides along: one sample per request.
     const eval::LmModel lm = tinyLm(90);
     const auto prompts = randomPrompts(4, 9, lm.vocab, 16);
     serve::ServeConfig base;
     base.maxBatchTokens = 12;
-    base.prefillChunk = 0;
+    base.prefillChunk = 1;
     const auto oracle = serveWorkload(lm, base, prompts, 4);
     for (size_t chunk : {1u, 2u, 5u, 32u}) {
         serve::ServeConfig cfg = base;
@@ -870,13 +878,13 @@ TEST(ServeDeterminism, DecodeStepBitIdenticalAcrossThreadCounts)
         for (auto &v : x.data())
             v = static_cast<float>(rng.gaussian());
         inputs.push_back(x.clone());
-        ref.push_back(lm.backbone.forwardStep(x, s1));
+        ref.push_back(lm.backbone.forwardChunk(x, s1));
     }
     for (size_t threads : {2u, 0u}) {
         par::setThreadCount(threads);
         serve::DecodeState s2 = serve::makeDecodeState(lm.backbone, olive4);
         for (size_t t = 0; t < 6; ++t) {
-            const Tensor h = lm.backbone.forwardStep(inputs[t], s2);
+            const Tensor h = lm.backbone.forwardChunk(inputs[t], s2);
             EXPECT_TRUE(bitIdentical(h.data(), ref[t].data()))
                 << threads << ":" << t;
         }

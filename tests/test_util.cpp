@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "util/args.hpp"
 #include "util/bitops.hpp"
@@ -324,6 +325,34 @@ TEST(ArgsDeathTest, ServingFlagTyposNameTheSpeculationKnobs)
             ::testing::ExitedWithCode(1),
             "unknown flag.*known flags.*--draft-len.*--prefill-chunk"
             ".*--speculate");
+    }
+}
+
+TEST(Args, GetSizeReadsCountsAtOrAboveTheMinimum)
+{
+    const char *argv[] = {"prog", "--prefill-chunk", "8", "--pool=0"};
+    Args args(4, const_cast<char **>(argv),
+              {{"prefill-chunk", "32"}, {"pool", "4"}, {"draft", "4"}});
+    EXPECT_EQ(args.getSize("prefill-chunk", 1), 8u);
+    EXPECT_EQ(args.getSize("pool", 0), 0u);  // 0 allowed when min is 0
+    EXPECT_EQ(args.getSize("draft", 1), 4u); // the default parses too
+}
+
+TEST(ArgsDeathTest, GetSizeRejectsValuesBelowTheMinimumOrMalformed)
+{
+    // A negative count must not wrap to SIZE_MAX, and a value under
+    // the flag's minimum must not reach the code that asserts on it:
+    // each is a fatal user error naming the flag and its bound.
+    GTEST_FLAG_SET(death_test_style, "threadsafe");
+    for (const char *bad :
+         {"-1", "0", "abc", "3x", "", "99999999999999999999"}) {
+        const std::string flag = std::string("--prefill-chunk=") + bad;
+        const char *argv[] = {"prog", flag.c_str()};
+        Args args(2, const_cast<char **>(argv), {{"prefill-chunk", "32"}});
+        EXPECT_EXIT((void)args.getSize("prefill-chunk", 1),
+                    ::testing::ExitedWithCode(1),
+                    "--prefill-chunk takes an integer >= 1")
+            << bad;
     }
 }
 
