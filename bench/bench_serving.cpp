@@ -9,8 +9,7 @@
  * token streams are asserted bit-identical before any number is
  * reported: the engine's determinism guarantee is part of what this
  * bench demonstrates (the ctest "serve" legs run it at OLIVE_THREADS=1
- * and =8).  Storage is the paged block pool (the production layout); a
- * contiguous-reference fp32 row is kept for comparison, and a
+ * and =8).  Storage is the paged block pool; a
  * shared-prefix workload row demonstrates prefix sharing: strictly
  * lower peak pool bytes than the identical unshared run, with zero
  * payload copies from admission/eviction (copy-on-write rows are the
@@ -19,11 +18,10 @@
  * model.
  *
  * Attention reads go through the decoded-block working set
- * (serve::DecodedBlockCache); every paged row reports its hit/miss/
- * eviction counters, and the bench asserts in-process that total codec
- * decode work grew linearly with processed tokens — the O(1)-per-step
- * amortization the working set exists for.  A kv-olive8-scratch row
- * re-runs olive8 with the working set off for comparison.
+ * (serve::DecodedBlockCache); every row reports its hit/miss/eviction
+ * counters, and the bench asserts in-process that total codec decode
+ * work grew linearly with processed tokens — the O(1)-per-step
+ * amortization the working set exists for.
  *
  * Two further row pairs pin the batching work: a long-prompt workload
  * served with 32-row vs 1-row prefill chunks (median TTFT must
@@ -142,9 +140,7 @@ reportRow(BenchReport &report, const std::string &name, const RunResult &r,
         .metric("peak_cache_fp32_bytes",
                 static_cast<double>(m.peakFp32CacheBytes))
         .metric("cache_ratio_vs_fp32", ratio)
-        .metric("paged", cfg.pagedCache ? 1.0 : 0.0)
-        .metric("block_rows",
-                cfg.pagedCache ? static_cast<double>(cfg.blockRows) : 0.0)
+        .metric("block_rows", static_cast<double>(cfg.blockRows))
         .metric("prefix_sharing", cfg.prefixSharing ? 1.0 : 0.0)
         .metric("sharing_active", sharingActive(m) ? 1.0 : 0.0)
         .metric("peak_shared_saved_bytes",
@@ -152,8 +148,6 @@ reportRow(BenchReport &report, const std::string &name, const RunResult &r,
         .metric("cow_copy_rows", static_cast<double>(m.cowCopyRows))
         .metric("shared_prefill_rows_skipped",
                 static_cast<double>(m.sharedPrefillRowsSkipped))
-        .metric("decoded_cache",
-                cfg.pagedCache && cfg.decodedCache ? 1.0 : 0.0)
         .metric("decoded_cache_hits", static_cast<double>(m.decodedCacheHits))
         .metric("decoded_cache_misses",
                 static_cast<double>(m.decodedCacheMisses))
@@ -182,8 +176,8 @@ reportRow(BenchReport &report, const std::string &name, const RunResult &r,
 }
 
 /**
- * The O(1)-amortization witness, asserted in-bench: with the decoded
- * working set on, codec decode work grows linearly with appended rows
+ * The O(1)-amortization witness, asserted in-bench: through the
+ * decoded working set, codec decode work grows linearly with appended rows
  * — each (block, slot) decodes at most once per residency, so total
  * decoded (K, V) pairs are bounded by layers x processed tokens plus
  * the copy-on-write slots that land in fresh blocks.  The scratch path
@@ -316,44 +310,6 @@ main(int argc, char **argv)
         OLIVE_ASSERT(m.cowCopyRows == 0,
                      "unshared workload performed payload copies");
         assertDecodeWorkIsLinear(m, lm.backbone.layers.size());
-    }
-
-    // The scratch-path comparison row: the same olive8 workload with
-    // the decoded working set off, so the JSON records what block-table
-    // attention buys over per-step whole-prefix re-decoding (the
-    // pre-working-set behaviour, retained as the bit-exactness oracle).
-    {
-        serve::ServeConfig scratch = scfg;
-        scratch.cacheFormat = serve::KvCacheFormat::Olive8;
-        scratch.decodedCache = false;
-        const RunResult run =
-            runChecked(lm, scratch, prompts, max_new, nthreads);
-        t.addRow({"kv-olive8-scratch",
-                  Table::num(run.metrics.tokensPerSecond(), 1),
-                  Table::num(run.metrics.generatedPerSecond(), 1),
-                  Table::num(run.metrics.stepLatencyMs(50.0), 3),
-                  Table::num(run.metrics.stepLatencyMs(99.0), 3),
-                  std::to_string(run.metrics.peakEncodedCacheBytes), "-",
-                  "-", "-"});
-        reportRow(report, "kv-olive8-scratch", run, scratch);
-    }
-
-    // Contiguous-reference comparison row: the pre-paging layout the
-    // fuzz suite uses as its oracle, same workload, fp32.
-    {
-        serve::ServeConfig ref = scfg;
-        ref.cacheFormat = serve::KvCacheFormat::Fp32;
-        ref.pagedCache = false;
-        const RunResult run =
-            runChecked(lm, ref, prompts, max_new, nthreads);
-        t.addRow({"kv-fp32-contig",
-                  Table::num(run.metrics.tokensPerSecond(), 1),
-                  Table::num(run.metrics.generatedPerSecond(), 1),
-                  Table::num(run.metrics.stepLatencyMs(50.0), 3),
-                  Table::num(run.metrics.stepLatencyMs(99.0), 3),
-                  std::to_string(run.metrics.peakEncodedCacheBytes), "-",
-                  "-", "-"});
-        reportRow(report, "kv-fp32-contig", run, ref);
     }
 
     // Shared-prefix workload: every request extends one long common

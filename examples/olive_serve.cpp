@@ -151,11 +151,9 @@ main(int argc, char **argv)
                            {"cache", "olive4"},
                            {"batch-tokens", "8"},
                            {"max-active", "2"},
-                           {"paged", "1"},
                            {"block-rows", "4"},
                            {"pool-blocks", "0"},
                            {"share", "1"},
-                           {"decoded-cache", "1"},
                            {"prefill-chunk", "32"},
                            {"speculate", "0"},
                            {"draft-len", "4"},
@@ -177,11 +175,9 @@ main(int argc, char **argv)
     scfg.cacheFormat = serve::parseKvCacheFormat(args.get("cache"));
     scfg.maxBatchTokens = args.getSize("batch-tokens", 1);
     scfg.maxActiveRequests = args.getSize("max-active", 1);
-    scfg.pagedCache = args.getBool("paged");
     scfg.blockRows = args.getSize("block-rows", 1);
     scfg.poolBlocks = args.getSize("pool-blocks", 0);
     scfg.prefixSharing = args.getBool("share");
-    scfg.decodedCache = args.getBool("decoded-cache");
     scfg.prefillChunk = args.getSize("prefill-chunk", 1);
     scfg.speculate = args.getBool("speculate");
     scfg.draftLen = args.getSize("draft-len", 1);

@@ -65,10 +65,8 @@ main(int argc, char **argv)
                            {"max-new", ""},
                            {"batch-tokens", "8"},
                            {"max-active", "4"},
-                           {"paged", "1"},
                            {"block-rows", "4"},
                            {"pool-blocks", "0"},
-                           {"decoded-cache", "1"},
                            {"decoded-cache-blocks", "0"},
                            {"share", "1"},
                            {"retain", "0"},
@@ -105,13 +103,11 @@ main(int argc, char **argv)
     scfg.cacheFormat = serve::parseKvCacheFormat(args.get("cache"));
     scfg.maxBatchTokens = args.getSize("batch-tokens", 1);
     scfg.maxActiveRequests = args.getSize("max-active", 1);
-    scfg.pagedCache = args.getBool("paged");
     scfg.blockRows = args.getSize("block-rows", 1);
     scfg.poolBlocks = args.getSize("pool-blocks", 0);
     scfg.prefixSharing = args.getBool("share");
     scfg.retainPrefixes = args.getBool("retain");
     scfg.retainBlocks = args.getSize("retain-blocks", 0);
-    scfg.decodedCache = args.getBool("decoded-cache");
     scfg.decodedCacheBlocks = args.getSize("decoded-cache-blocks", 0);
     scfg.prefillChunk = args.getSize("prefill-chunk", 1);
     scfg.speculate = args.getBool("speculate");
@@ -122,33 +118,26 @@ main(int argc, char **argv)
                 "vocab=%zu ==\n",
                 config.name.c_str(), config.evalLayers, config.evalDModel,
                 config.evalVocab);
-    std::printf("cache=%s  storage=%s  batch-tokens=%zu  max-active=%zu  "
+    std::printf("cache=%s  batch-tokens=%zu  max-active=%zu  "
                 "requests=%zu  prompt~%zu  max-new=%zu\n",
-                engine.kvScheme().name().c_str(),
-                scfg.pagedCache ? "paged" : "contiguous",
-                scfg.maxBatchTokens, scfg.maxActiveRequests, n_requests,
-                prompt_len, max_new);
+                engine.kvScheme().name().c_str(), scfg.maxBatchTokens,
+                scfg.maxActiveRequests, n_requests, prompt_len, max_new);
     std::printf("prefill-chunk=%zu (%s)  speculate=%s\n", scfg.prefillChunk,
                 scfg.prefillChunk > 1 ? "batched" : "token-by-token",
                 scfg.speculate
                     ? ("ngram, draft-len " + std::to_string(scfg.draftLen))
                           .c_str()
                     : "off");
-    if (scfg.pagedCache) {
-        std::printf("block-rows=%zu  pool-blocks=%s  prefix-sharing=%s  "
-                    "decoded-cache=%s\n",
-                    scfg.blockRows,
-                    scfg.poolBlocks
-                        ? std::to_string(scfg.poolBlocks).c_str()
-                        : "unbounded",
-                    scfg.prefixSharing ? "on" : "off",
-                    !scfg.decodedCache          ? "off"
-                    : scfg.decodedCacheBlocks
-                        ? (std::to_string(scfg.decodedCacheBlocks) +
-                           " blocks")
-                              .c_str()
-                        : "unbounded");
-    }
+    std::printf("block-rows=%zu  pool-blocks=%s  prefix-sharing=%s  "
+                "decoded-cache=%s\n",
+                scfg.blockRows,
+                scfg.poolBlocks ? std::to_string(scfg.poolBlocks).c_str()
+                                : "unbounded",
+                scfg.prefixSharing ? "on" : "off",
+                scfg.decodedCacheBlocks
+                    ? (std::to_string(scfg.decodedCacheBlocks) + " blocks")
+                          .c_str()
+                    : "unbounded");
     std::printf("\n");
 
     size_t steps = 0;
@@ -252,17 +241,15 @@ main(int argc, char **argv)
                     ? static_cast<double>(m.peakEncodedCacheBytes) /
                           static_cast<double>(m.peakFp32CacheBytes)
                     : 0.0);
-    if (const serve::BlockPool *pool = engine.blockPool()) {
-        std::printf("block pool: %zu B/block, peak %zu B, prefix sharing "
-                    "saved up to %zu B, %llu prefill rows skipped, %llu "
-                    "rows copied (CoW only — admission/eviction copy "
-                    "nothing)\n",
-                    pool->blockBytes(), pool->peakBytes(),
-                    m.peakSharedSavedBytes,
-                    static_cast<unsigned long long>(
-                        m.sharedPrefillRowsSkipped),
-                    static_cast<unsigned long long>(m.cowCopyRows));
-    }
+    const serve::BlockPool *pool = engine.blockPool();
+    std::printf("block pool: %zu B/block, peak %zu B, prefix sharing "
+                "saved up to %zu B, %llu prefill rows skipped, %llu "
+                "rows copied (CoW only — admission/eviction copy "
+                "nothing)\n",
+                pool->blockBytes(), pool->peakBytes(),
+                m.peakSharedSavedBytes,
+                static_cast<unsigned long long>(m.sharedPrefillRowsSkipped),
+                static_cast<unsigned long long>(m.cowCopyRows));
     if (scfg.retainPrefixes) {
         std::printf("prefix retention: %llu stored, %llu hits, %llu "
                     "prefill rows seeded, %llu evictions, peak %zu B "
@@ -275,17 +262,14 @@ main(int argc, char **argv)
                         m.retentionEvictions),
                     m.retainedPeakBytes);
     }
-    if (engine.decodedCache()) {
-        std::printf("decoded cache: %llu hits / %llu misses / %llu "
-                    "evictions, %llu row pairs decoded (linear in "
-                    "tokens, not steps x prefix), peak %zu B\n",
-                    static_cast<unsigned long long>(m.decodedCacheHits),
-                    static_cast<unsigned long long>(m.decodedCacheMisses),
-                    static_cast<unsigned long long>(
-                        m.decodedCacheEvictions),
-                    static_cast<unsigned long long>(m.decodedCacheRows),
-                    m.decodedCachePeakBytes);
-    }
+    std::printf("decoded cache: %llu hits / %llu misses / %llu "
+                "evictions, %llu row pairs decoded (linear in tokens, not "
+                "steps x prefix), peak %zu B\n",
+                static_cast<unsigned long long>(m.decodedCacheHits),
+                static_cast<unsigned long long>(m.decodedCacheMisses),
+                static_cast<unsigned long long>(m.decodedCacheEvictions),
+                static_cast<unsigned long long>(m.decodedCacheRows),
+                m.decodedCachePeakBytes);
 
     if (args.getBool("impact")) {
         // What does the cache codec cost in model quality?

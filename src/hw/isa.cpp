@@ -54,8 +54,9 @@ namespace {
 
 /** Decode one packed operand vector (kDepth values) to ExpInt. */
 std::vector<ExpInt>
-decodeVector(OvpOperandType type, int bias, const std::vector<u8> &bytes,
-             size_t vec_index, u64 k_depth)
+decodeOperandVector(OvpOperandType type, int bias,
+                    const std::vector<u8> &bytes, size_t vec_index,
+                    u64 k_depth)
 {
     std::vector<ExpInt> out(k_depth);
     if (type == OvpOperandType::Int4) {
@@ -115,11 +116,11 @@ executeMma(const MmaInstruction &inst, const std::vector<u8> &a_bytes,
     // Pre-decode all operand vectors (the per-EDP decoders of Fig. 6a).
     std::vector<std::vector<ExpInt>> a_rows(inst.m), b_cols(inst.n);
     for (size_t r = 0; r < inst.m; ++r)
-        a_rows[r] = decodeVector(inst.aType, inst.biasA, a_bytes, r,
-                                 inst.kDepth);
+        a_rows[r] = decodeOperandVector(inst.aType, inst.biasA, a_bytes, r,
+                                        inst.kDepth);
     for (size_t col = 0; col < inst.n; ++col)
-        b_cols[col] = decodeVector(inst.bType, inst.biasB, b_bytes, col,
-                                   inst.kDepth);
+        b_cols[col] = decodeOperandVector(inst.bType, inst.biasB, b_bytes,
+                                          col, inst.kDepth);
 
     std::vector<i32> d(inst.m * inst.n, 0);
     for (size_t r = 0; r < inst.m; ++r) {

@@ -110,7 +110,7 @@ systolicMatmulOvp(const OvpDecoder &dec, size_t rows, size_t depth,
     OLIVE_ASSERT(b_bytes.size() == cols * pairs_per_vec * bytes_per_pair,
                  "B stream size mismatch");
 
-    auto decodeVec = [&](const std::vector<u8> &bytes, size_t vec) {
+    auto decodeOperand = [&](const std::vector<u8> &bytes, size_t vec) {
         std::vector<ExpInt> out(depth);
         for (size_t p = 0; p < pairs_per_vec; ++p) {
             DecodedPair d;
@@ -127,12 +127,12 @@ systolicMatmulOvp(const OvpDecoder &dec, size_t rows, size_t depth,
 
     std::vector<std::vector<ExpInt>> a(rows);
     for (size_t r = 0; r < rows; ++r)
-        a[r] = decodeVec(a_bytes, r);
+        a[r] = decodeOperand(a_bytes, r);
 
     // B arrives column-major: one packed vector per output column.
     std::vector<std::vector<ExpInt>> b(depth, std::vector<ExpInt>(cols));
     for (size_t c = 0; c < cols; ++c) {
-        const auto col = decodeVec(b_bytes, c);
+        const auto col = decodeOperand(b_bytes, c);
         for (size_t d = 0; d < depth; ++d)
             b[d][c] = col[d];
     }

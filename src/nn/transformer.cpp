@@ -118,9 +118,8 @@ attendRow(const float *qrow, const float *pk, const float *pv, size_t d,
 /**
  * attendRow generalized to an ordered span list: the cache's rows
  * [0, len) arrive as consecutive runs (serve::KvSpan) instead of one
- * contiguous block — one run per KV block when a decoded working set
- * backs the cache.  @p col is the head's column offset (h * dh); span
- * rows are strided by @p d.
+ * contiguous block — one run per KV block of a paged cache.  @p col is
+ * the head's column offset (h * dh); span rows are strided by @p d.
  *
  * Bit-identical to attendRow on the concatenation of the spans: every
  * score row[base + j] accumulates in double over the same ascending e
@@ -129,7 +128,8 @@ attendRow(const float *qrow, const float *pk, const float *pv, size_t d,
  * accumulates in double over the same ascending global jj — the span
  * walk preserves the iteration order, it only changes how the row
  * pointer is derived.  tests/test_decode_parity.cpp pins this against
- * the retained scratch path across codecs and block sizes.
+ * the single-span contiguous oracle (tests/oracle/) across codecs and
+ * block sizes.
  *
  * @p attend_len caps the scored positions: global columns
  * [attend_len, row.size()) get the same -1e30 masked fill attendRow
@@ -288,14 +288,13 @@ selfAttentionChunk(const Tensor &x, const Layer &layer, size_t n_heads,
     Tensor v = layer.v.forward(xq);
 
     // Persist the whole chunk's K/V rows through the cache codec, then
-    // attend block-by-block over whatever decoded form the cache serves:
-    // one all-rows scratch span (the retained oracle path), or per-block
-    // spans pinned in the engine's DecodedBlockCache — where only the
-    // rows appended since the last call need decoding, so a 1-row decode
-    // chunk costs O(1) amortized codec work.  Appending before attending
-    // is safe because row i's masked score range [0, pos0+i+1) never
-    // reaches the chunk rows after it — the intra-chunk causal mask
-    // below.
+    // attend block-by-block over the decoded spans the cache serves:
+    // per-block spans pinned in the engine's DecodedBlockCache, where
+    // only the rows appended since the last call need decoding, so a
+    // 1-row decode chunk costs O(1) amortized codec work.  Appending
+    // before attending is safe because row i's masked score range
+    // [0, pos0+i+1) never reaches the chunk rows after it — the
+    // intra-chunk causal mask below.
     const size_t pos0 = cache.length();
     cache.appendRows(k, v);
     const size_t len = pos0 + m;

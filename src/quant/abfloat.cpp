@@ -31,8 +31,16 @@ AbFloat::e4m3(int bias)
 std::string
 AbFloat::name() const
 {
-    return "E" + std::to_string(expBits_) + "M" + std::to_string(mantBits_) +
-           "(bias=" + std::to_string(bias_) + ")";
+    // Appended piecewise: `"E" + std::to_string(...)` trips GCC 12's
+    // -Wrestrict false positive (the same one util/args.cpp avoids).
+    std::string s = "E";
+    s += std::to_string(expBits_);
+    s += "M";
+    s += std::to_string(mantBits_);
+    s += "(bias=";
+    s += std::to_string(bias_);
+    s += ")";
+    return s;
 }
 
 u32

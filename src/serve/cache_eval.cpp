@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "block_pool.hpp"
+#include "decoded_cache.hpp"
 #include "tensor/ops.hpp"
 
 namespace olive {
@@ -37,17 +39,21 @@ cacheImpact(const eval::LmModel &model, const eval::TokenData &text,
         const Tensor href = backbone.forward(xfull);
         const Tensor lgref = model.logitsFromHidden(href);
 
-        // Incremental path through the candidate cache scheme, over the
-        // contiguous layout: quality is layout-independent (rows
-        // encode to the same bytes wherever they live — the paged
-        // fuzz suite pins that bitwise), and the contiguous accounting
-        // reports the codec's exact payload+meta bytes, free of paged
-        // partial-block slack, which is what the compression() metric
-        // is meant to isolate.  One chunk carries the whole sequence:
-        // its row t is bit-identical to decoding token t alone after
-        // the prefix (DecodeParity.BatchedPrefillMatchesStepLoop), and
-        // logits rows are independent of each other.
-        DecodeState state = makeDecodeState(backbone, scheme);
+        // Incremental path through the candidate cache scheme, over a
+        // private paged state with one row per block: quality is
+        // layout-independent (rows encode to the same bytes wherever
+        // they live — the paged fuzz suite pins that bitwise), and at
+        // one row per block, blocks x blockBytes() is exactly the
+        // codec's payload + meta bytes, free of partial-block slack,
+        // which is what the compression() metric is meant to isolate.
+        // One chunk carries the whole sequence: its row t is
+        // bit-identical to decoding token t alone after the prefix
+        // (DecodeParity.BatchedPrefillMatchesStepLoop), and logits rows
+        // are independent of each other.  Declaration order retires
+        // the state before the working set and the pool it references.
+        BlockPool pool(scheme, d, /*block_rows=*/1);
+        DecodedBlockCache dcache(pool, /*capacity_blocks=*/0);
+        DecodeState state = makePagedDecodeState(backbone, pool, &dcache);
         const Tensor h = backbone.forwardChunk(xfull, state);
         const Tensor lg = model.logitsFromHidden(h);
         for (size_t t = 0; t < seq.size(); ++t) {

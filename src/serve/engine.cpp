@@ -83,20 +83,16 @@ ServeEngine::ServeEngine(const eval::LmModel &model, ServeConfig config)
     OLIVE_ASSERT(cfg_.maxBatchTokens >= 1, "token budget must be >= 1");
     OLIVE_ASSERT(cfg_.maxActiveRequests >= 1, "batch width must be >= 1");
     OLIVE_ASSERT(cfg_.prefillChunk >= 1, "prefill chunk must be >= 1");
-    if (cfg_.pagedCache) {
-        OLIVE_ASSERT(cfg_.blockRows >= 1, "blocks must hold >= 1 row");
-        pool_ = std::make_unique<BlockPool>(*scheme_, model.backbone.dModel,
-                                            cfg_.blockRows, cfg_.poolBlocks);
-        if (cfg_.decodedCache) {
-            dcache_ = std::make_unique<DecodedBlockCache>(
-                *pool_, cfg_.decodedCacheBlocks);
-            // A block whose refcount hits zero is about to be recycled
-            // through the free list; its decoded entry must go with it
-            // or a later reuse of the id would serve stale rows.
-            pool_->setReleaseHook(
-                [d = dcache_.get()](u32 id) { d->invalidate(id); });
-        }
-    }
+    OLIVE_ASSERT(cfg_.blockRows >= 1, "blocks must hold >= 1 row");
+    pool_ = std::make_unique<BlockPool>(*scheme_, model.backbone.dModel,
+                                        cfg_.blockRows, cfg_.poolBlocks);
+    dcache_ =
+        std::make_unique<DecodedBlockCache>(*pool_, cfg_.decodedCacheBlocks);
+    // A block whose refcount hits zero is about to be recycled through
+    // the free list; its decoded entry must go with it or a later reuse
+    // of the id would serve stale rows.
+    pool_->setReleaseHook(
+        [d = dcache_.get()](u32 id) { d->invalidate(id); });
     if (cfg_.speculate) {
         OLIVE_ASSERT(cfg_.draftLen >= 1,
                      "speculative decode needs draftLen >= 1");
@@ -221,14 +217,14 @@ ServeEngine::worstCaseBlocks(size_t prompt_len,
 bool
 ServeEngine::fitsPool(size_t prompt_len, size_t max_new_tokens) const
 {
-    return !cfg_.pagedCache || cfg_.poolBlocks == 0 ||
+    return cfg_.poolBlocks == 0 ||
            worstCaseBlocks(prompt_len, max_new_tokens) <= cfg_.poolBlocks;
 }
 
 void
 ServeEngine::retainPrefix(ActiveRequest &a)
 {
-    if (!cfg_.retainPrefixes || !cfg_.pagedCache || !cfg_.prefixSharing)
+    if (!cfg_.retainPrefixes || !cfg_.prefixSharing)
         return;
     // Cache length == position at every retire point (speculative
     // rollback restores it before the step ends); a sub-block prefix
@@ -292,7 +288,7 @@ ServeEngine::evictOldestRetained()
 }
 
 /**
- * FIFO admission.  For a paged engine each candidate passes two gates
+ * FIFO admission.  Each candidate passes two gates
  * before it is admitted, and admission stops at the first candidate
  * that fails one (strict FIFO, so the schedule is a pure function of
  * queue state):
@@ -330,7 +326,7 @@ ServeEngine::admit()
         size_t donor_idx = active_.size();
         auto retained_it = retained_.end();
         size_t retained_rows = 0;
-        if (cfg_.pagedCache && cfg_.prefixSharing) {
+        if (cfg_.prefixSharing) {
             size_t best_future = 0;
             for (size_t i = 0; i < active_.size(); ++i) {
                 const size_t lcp = shareablePrefixRows(
@@ -370,7 +366,7 @@ ServeEngine::admit()
                 retained_.splice(retained_.end(), retained_,
                                  retained_it);
         }
-        if (cfg_.pagedCache && cfg_.poolBlocks > 0) {
+        if (cfg_.poolBlocks > 0) {
             const size_t need = worstCaseBlocks(cand.req.prompt.size(),
                                                 cand.req.maxNewTokens);
             // Evict retained prefixes before stalling: each eviction
@@ -397,41 +393,36 @@ ServeEngine::admit()
         ActiveRequest a = std::move(pending_.front());
         pending_.pop_front();
         a.admitStep = metrics_.steps + 1; // the step about to run
-        if (cfg_.pagedCache) {
-            a.state =
-                makePagedDecodeState(model_->backbone, *pool_, dcache_.get());
-            a.reservedBlocks =
-                worstCaseBlocks(a.req.prompt.size(), a.req.maxNewTokens);
-            committedBlocks_ += a.reservedBlocks;
-            if (retained_it != retained_.end()) {
-                // Seed from the retained prefix of a retired request:
-                // same mechanics and bit-exactness argument as the
-                // live-donor path, minus any live donor.
-                const RetainedPrefix &e = *retained_it;
-                for (size_t li = 0; li < a.state.layers.size(); ++li) {
-                    static_cast<PagedKvCache &>(*a.state.layers[li])
-                        .shareFromTable(e.tables[li], e.rows,
-                                        retained_rows);
-                }
-                a.state.position = retained_rows;
-                a.sharedPrefixRows = retained_rows;
-                metrics_.sharedPrefillRowsSkipped += retained_rows;
-                metrics_.retentionHits += 1;
-                metrics_.retentionSharedRows += retained_rows;
-            } else if (share_rows > 0) {
-                const DecodeState &donor = active_[donor_idx].state;
-                for (size_t li = 0; li < a.state.layers.size(); ++li) {
-                    static_cast<PagedKvCache &>(*a.state.layers[li])
-                        .shareFrom(static_cast<const PagedKvCache &>(
-                                       *donor.layers[li]),
-                                   share_rows);
-                }
-                a.state.position = share_rows;
-                a.sharedPrefixRows = share_rows;
-                metrics_.sharedPrefillRowsSkipped += share_rows;
+        a.state =
+            makePagedDecodeState(model_->backbone, *pool_, dcache_.get());
+        a.reservedBlocks =
+            worstCaseBlocks(a.req.prompt.size(), a.req.maxNewTokens);
+        committedBlocks_ += a.reservedBlocks;
+        if (retained_it != retained_.end()) {
+            // Seed from the retained prefix of a retired request:
+            // same mechanics and bit-exactness argument as the
+            // live-donor path, minus any live donor.
+            const RetainedPrefix &e = *retained_it;
+            for (size_t li = 0; li < a.state.layers.size(); ++li) {
+                static_cast<PagedKvCache &>(*a.state.layers[li])
+                    .shareFromTable(e.tables[li], e.rows, retained_rows);
             }
-        } else {
-            a.state = makeDecodeState(model_->backbone, *scheme_);
+            a.state.position = retained_rows;
+            a.sharedPrefixRows = retained_rows;
+            metrics_.sharedPrefillRowsSkipped += retained_rows;
+            metrics_.retentionHits += 1;
+            metrics_.retentionSharedRows += retained_rows;
+        } else if (share_rows > 0) {
+            const DecodeState &donor = active_[donor_idx].state;
+            for (size_t li = 0; li < a.state.layers.size(); ++li) {
+                static_cast<PagedKvCache &>(*a.state.layers[li])
+                    .shareFrom(static_cast<const PagedKvCache &>(
+                                   *donor.layers[li]),
+                               share_rows);
+            }
+            a.state.position = share_rows;
+            a.sharedPrefixRows = share_rows;
+            metrics_.sharedPrefillRowsSkipped += share_rows;
         }
         active_.push_back(std::move(a));
     }
@@ -639,7 +630,7 @@ ServeEngine::step()
                      });
 
     // Accounting (before eviction, so a finishing request's cache
-    // counts toward this step's footprint).  The paged footprint is
+    // counts toward this step's footprint).  The encoded footprint is
     // pool-level — blocks in use x block bytes — so shared blocks are
     // counted once, not once per referencing request.
     size_t fp32 = 0;
@@ -655,35 +646,26 @@ ServeEngine::step()
                 static_cast<float>(active_[i].ttftSeconds));
         fp32 += active_[i].state.fp32Bytes();
     }
-    size_t enc = 0;
-    if (pool_) {
-        enc = pool_->bytesInUse();
-        metrics_.peakSharedSavedBytes = std::max(
-            metrics_.peakSharedSavedBytes, pool_->sharedSavedBytes());
-        metrics_.cowCopyRows = pool_->payloadCopyRows();
-        metrics_.retainedBlocks = pool_->retainedBlocks();
-        metrics_.retainedPeakBytes = std::max(metrics_.retainedPeakBytes,
-                                              pool_->retainedBytes());
-        if (dcache_) {
-            // Cumulative counters sampled, not accumulated — the cache
-            // already sums across steps.
-            metrics_.decodedCacheHits = dcache_->hits();
-            metrics_.decodedCacheMisses = dcache_->misses();
-            metrics_.decodedCacheEvictions = dcache_->evictions();
-            metrics_.decodedCacheRows = dcache_->decodedRows();
-            metrics_.decodedCachePeakBytes = dcache_->peakBytes();
-        }
-    } else {
-        for (const ActiveRequest &a : active_)
-            enc += a.state.encodedBytes();
-    }
     metrics_.peakEncodedCacheBytes =
-        std::max(metrics_.peakEncodedCacheBytes, enc);
+        std::max(metrics_.peakEncodedCacheBytes, pool_->bytesInUse());
+    metrics_.peakSharedSavedBytes =
+        std::max(metrics_.peakSharedSavedBytes, pool_->sharedSavedBytes());
+    metrics_.cowCopyRows = pool_->payloadCopyRows();
+    metrics_.retainedBlocks = pool_->retainedBlocks();
+    metrics_.retainedPeakBytes =
+        std::max(metrics_.retainedPeakBytes, pool_->retainedBytes());
+    // Cumulative counters sampled, not accumulated — the cache already
+    // sums across steps.
+    metrics_.decodedCacheHits = dcache_->hits();
+    metrics_.decodedCacheMisses = dcache_->misses();
+    metrics_.decodedCacheEvictions = dcache_->evictions();
+    metrics_.decodedCacheRows = dcache_->decodedRows();
+    metrics_.decodedCachePeakBytes = dcache_->peakBytes();
     metrics_.peakFp32CacheBytes =
         std::max(metrics_.peakFp32CacheBytes, fp32);
 
     // Evict finished requests, preserving FIFO order of the rest.
-    // Destroying a paged request's caches releases its blocks to the
+    // Destroying a request's caches releases its blocks to the
     // free list — refcount decrements only, no payload copies.
     std::vector<ActiveRequest> still;
     still.reserve(active_.size());

@@ -20,9 +20,10 @@
  * their KV-cache blocks to the pool's free list without copying a
  * byte.
  *
- * KV storage is paged by default (ServeConfig::pagedCache): one global
- * BlockPool per engine holds fixed-size blocks of a few token rows
- * each, and every (request, layer) cache is a block table into it.
+ * KV storage is paged: one global BlockPool per engine holds
+ * fixed-size blocks of a few token rows each, and every (request,
+ * layer) cache is a block table into it, read through one shared
+ * DecodedBlockCache working set.
  * Admission reserves each request's worst-case block count against the
  * pool capacity (poolBlocks) so allocation can never fail mid-step;
  * requests whose prompts share a tokenized prefix with an active
@@ -34,8 +35,9 @@
  * tables in a bounded retention LRU so a later request (the next turn
  * of a conversation) can share the prefix with no live donor; retained
  * blocks are evicted under pool pressure before any admission stall.
- * The contiguous layout survives as pagedCache = false, the oracle
- * configuration the churn-fuzz suite compares against.
+ * The test suite's oracles (contiguous caches and solo greedy decode,
+ * tests/oracle/) drive the same forwardChunk without an engine; the
+ * churn-fuzz suite compares every engine stream against them.
  *
  * Determinism contract: admission, budgeting, sharing and eviction are
  * pure functions of the queue state, and each request's step work is a
@@ -87,13 +89,12 @@ struct ServeConfig
     size_t maxActiveRequests = 8; //!< Continuous-batch width cap.
     Scheme *actScheme = nullptr;  //!< Optional per-token activation quant.
 
-    bool pagedCache = true;  //!< Block-table storage (false = contiguous).
-    size_t blockRows = 4;    //!< Token rows per block (paged only).
+    size_t blockRows = 4;    //!< Token rows per KV block.
     size_t poolBlocks = 0;   //!< Pool capacity in blocks; 0 = unbounded.
-    bool prefixSharing = true; //!< Share prompt-prefix blocks (paged only).
+    bool prefixSharing = true; //!< Share prompt-prefix blocks.
 
     /**
-     * Cached-prefix retention (paged + prefixSharing only): when a
+     * Cached-prefix retention (prefixSharing only): when a
      * request retires, keep its block tables alive in a bounded LRU so
      * a follow-up request — e.g. the next turn of a conversation that
      * re-submits prompt + reply as its prefix — can seed via
@@ -113,15 +114,13 @@ struct ServeConfig
     size_t retainBlocks = 0;
 
     /**
-     * Decoded-block working set (paged only): attention reads FP32
-     * block contents from a shared LRU cache instead of re-decoding the
-     * whole prefix into scratch each step — O(1) amortized codec work
-     * per decode step, and prefix-shared blocks decode once per cohort.
-     * false retains the scratch-materializing oracle path.
+     * Decoded-block working set capacity in blocks; 0 = unbounded.
+     * Attention reads FP32 block contents from this shared LRU cache
+     * instead of re-decoding the whole prefix each step — O(1)
+     * amortized codec work per decode step, and prefix-shared blocks
+     * decode once per cohort.  A soft cap: blocks pinned by in-flight
+     * attention are never evicted.
      */
-    bool decodedCache = true;
-    /** Working-set capacity in blocks; 0 = unbounded.  A soft cap:
-     *  blocks pinned by in-flight attention are never evicted. */
     size_t decodedCacheBlocks = 0;
 
     /**
@@ -195,8 +194,8 @@ struct ServeMetrics
     u64 cowCopyRows = 0;
     /** Prefill rows skipped because a shared prefix seeded them. */
     u64 sharedPrefillRowsSkipped = 0;
-    /** Decoded-block working set counters (cumulative; zero when the
-     *  cache is off or the engine is contiguous).  decodedCacheRows is
+    /** Decoded-block working set counters (cumulative).
+     *  decodedCacheRows is
      *  the O(1)-amortization witness: (K, V) slot pairs ever decoded —
      *  linear in appended rows when the working set holds, quadratic if
      *  every step re-decoded its prefix.  Exact values are
@@ -284,7 +283,7 @@ class ServeEngine
      * Whether a request of @p prompt_len prompt tokens and a budget of
      * @p max_new_tokens can ever be admitted: its worst-case cache fits
      * the block pool.  Always true when the pool is unbounded
-     * (poolBlocks == 0) or the cache is not paged.  Submitting a
+     * (poolBlocks == 0).  Submitting a
      * request that fails this is a caller bug (admission asserts);
      * front ends check it first and reject the request instead.
      */
@@ -365,13 +364,13 @@ class ServeEngine
     const ServeConfig &config() const { return cfg_; }
     const KvScheme &kvScheme() const { return *scheme_; }
 
-    /** The pool behind a paged engine; nullptr when contiguous.  The
-     *  pointer is fixed at construction, and the pool's accounting
-     *  accessors take its own lock — safe to poll concurrently. */
+    /** The engine's block pool; never null.  The pointer is fixed at
+     *  construction, and the pool's accounting accessors take its own
+     *  lock — safe to poll concurrently. */
     const BlockPool *blockPool() const { return pool_.get(); }
 
-    /** The decoded-block working set; nullptr when off or contiguous.
-     *  Fixed at construction; its accessors lock internally. */
+    /** The decoded-block working set; never null.  Fixed at
+     *  construction; its accessors lock internally. */
     const DecodedBlockCache *decodedCache() const { return dcache_.get(); }
 
     /** Decode state of an active request; nullptr if not active.  The
@@ -437,7 +436,7 @@ class ServeEngine
      *  is null; proposer_ points at whichever is in force. */
     std::unique_ptr<Proposer> ownedProposer_;
     const Proposer *proposer_ = nullptr;
-    std::unique_ptr<BlockPool> pool_; //!< Paged engines only.
+    std::unique_ptr<BlockPool> pool_;
     /** Shared decoded working set.  Declared after pool_ and before the
      *  request containers: destroying active_/pending_ releases blocks,
      *  whose pool hook invalidates dcache_ — so caches die first, the

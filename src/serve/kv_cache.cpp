@@ -233,109 +233,13 @@ KvCache::KvCache(const KvScheme &scheme, size_t d)
     OLIVE_ASSERT(d > 0, "KV cache row width must be positive");
 }
 
-void
-KvCache::withDecoded(
-    const std::function<void(std::span<const KvSpan>)> &fn) const
-{
-    // The retained scratch-materializing path: decode every row into a
-    // transient (length, d) pair and serve it as one span.  O(length)
-    // codec work per call — the oracle the decoded-block working set is
-    // measured (and bit-compared) against.
-    const size_t len = length();
-    if (len == 0) {
-        fn(std::span<const KvSpan>());
-        return;
-    }
-    Tensor k({len, d_}), v({len, d_});
-    decodeK(k);
-    decodeV(v);
-    const KvSpan span{k.raw(), v.raw(), len};
-    fn(std::span<const KvSpan>(&span, 1));
-}
-
-// ----------------------------------------------- KvCacheReference
-
-KvCacheReference::KvCacheReference(const KvScheme &scheme, size_t d)
-    : KvCache(scheme, d)
-{
-}
-
-void
-KvCacheReference::appendRows(const Tensor &k, const Tensor &v)
-{
-    OLIVE_ASSERT(k.rank() == 2 && v.rank() == 2 && k.dim(0) == v.dim(0) &&
-                     k.dim(1) == d_ && v.dim(1) == d_,
-                 "append needs matching (m, d) K and V");
-    // The oracle semantics: encode the rows one by one, in row order.
-    const size_t rb = scheme_->rowBytes(d_);
-    for (size_t i = 0; i < k.dim(0); ++i) {
-        KvRowMeta km, vm;
-        scheme_->encodeRow(k.row(i), kBytes_, km);
-        scheme_->encodeRow(v.row(i), vBytes_, vm);
-        OLIVE_ASSERT(kBytes_.size() == (kMeta_.size() + 1) * rb &&
-                         vBytes_.size() == (vMeta_.size() + 1) * rb,
-                     "KV codec appended a payload of unexpected size");
-        kMeta_.push_back(km);
-        vMeta_.push_back(vm);
-    }
-}
-
-void
-KvCacheReference::truncate(size_t new_len)
-{
-    OLIVE_ASSERT(new_len <= kMeta_.size(), "truncate cannot grow the cache");
-    const size_t rb = scheme_->rowBytes(d_);
-    kBytes_.resize(new_len * rb);
-    vBytes_.resize(new_len * rb);
-    kMeta_.resize(new_len);
-    vMeta_.resize(new_len);
-}
-
-void
-KvCacheReference::decodeAll(const std::vector<u8> &bytes,
-                            const std::vector<KvRowMeta> &meta,
-                            Tensor &out) const
-{
-    OLIVE_ASSERT(out.rank() == 2 && out.dim(0) == meta.size() &&
-                     out.dim(1) == d_,
-                 "decode target must be (length, d)");
-    const size_t rb = scheme_->rowBytes(d_);
-    // Rows are independent and each is a pure function of its payload
-    // bytes, so the decode parallelizes deterministically (and runs
-    // inline when the engine is already parallel across requests).
-    par::parallelFor(0, meta.size(), 1, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) {
-            scheme_->decodeRow(
-                std::span<const u8>(bytes.data() + i * rb, rb), meta[i],
-                out.row(i));
-        }
-    });
-}
-
-void
-KvCacheReference::decodeK(Tensor &out) const
-{
-    decodeAll(kBytes_, kMeta_, out);
-}
-
-void
-KvCacheReference::decodeV(Tensor &out) const
-{
-    decodeAll(vBytes_, vMeta_, out);
-}
-
-size_t
-KvCacheReference::encodedBytes() const
-{
-    return kBytes_.size() + vBytes_.size() +
-           (kMeta_.size() + vMeta_.size()) * scheme_->metaBytesPerRow();
-}
-
 // --------------------------------------------------- PagedKvCache
 
 PagedKvCache::PagedKvCache(BlockPool &pool, DecodedBlockCache *dcache)
     : KvCache(pool.scheme(), pool.dModel()), pool_(&pool), dcache_(dcache)
 {
+    OLIVE_ASSERT(dcache != nullptr,
+                 "a paged cache needs a decoded-block working set");
 }
 
 PagedKvCache::~PagedKvCache()
@@ -371,7 +275,7 @@ PagedKvCache::appendRows(const Tensor &k, const Tensor &v)
     const size_t rb = pool_->rowBytes();
     // Rows encode to disjoint slots through a pure per-row codec, so
     // the fan-out is deterministic at any thread count and byte-equal
-    // to KvCacheReference's in-order loop; with prefill chunks this is
+    // to an in-order row loop; with prefill chunks this is
     // where the OVP calibration cost actually parallelizes.
     par::parallelFor(0, m, 1, [&](size_t bgn, size_t end) {
         std::vector<u8> scratch;
@@ -419,44 +323,8 @@ PagedKvCache::truncate(size_t new_len)
     // so the working set must forget them now.  Shrinking (rather than
     // invalidating) keeps the surviving decoded prefix resident, so
     // rollback costs no re-decode of rows it kept.
-    if (dcache_ != nullptr && new_len % B != 0)
+    if (new_len % B != 0)
         dcache_->shrink(table_.back(), new_len % B);
-}
-
-void
-PagedKvCache::decodePlane(bool k_plane, Tensor &out) const
-{
-    OLIVE_ASSERT(out.rank() == 2 && out.dim(0) == rows_ && out.dim(1) == d_,
-                 "decode target must be (length, d)");
-    const size_t B = pool_->blockRows();
-    const size_t rb = pool_->rowBytes();
-    // Row iteration walks the block table; rows stay independent, so
-    // the decode parallelizes deterministically exactly like the
-    // contiguous layout.
-    par::parallelFor(0, rows_, 1, [&](size_t b, size_t e) {
-        for (size_t i = b; i < e; ++i) {
-            const u32 id = table_[i / B];
-            const size_t slot = i % B;
-            const u8 *row =
-                k_plane ? pool_->kRow(id, slot) : pool_->vRow(id, slot);
-            const KvRowMeta &meta =
-                k_plane ? pool_->kMeta(id, slot) : pool_->vMeta(id, slot);
-            scheme_->decodeRow(std::span<const u8>(row, rb), meta,
-                               out.row(i));
-        }
-    });
-}
-
-void
-PagedKvCache::decodeK(Tensor &out) const
-{
-    decodePlane(true, out);
-}
-
-void
-PagedKvCache::decodeV(Tensor &out) const
-{
-    decodePlane(false, out);
 }
 
 size_t
@@ -469,12 +337,6 @@ void
 PagedKvCache::withDecoded(
     const std::function<void(std::span<const KvSpan>)> &fn) const
 {
-    if (dcache_ == nullptr || rows_ == 0) {
-        // No working set attached (or nothing cached yet): fall back to
-        // the scratch-materializing oracle path.
-        KvCache::withDecoded(fn);
-        return;
-    }
     const size_t B = pool_->blockRows();
     // Pin every referenced block's decoded entry for the duration of
     // the callback.  Prefix-shared blocks hit entries decoded by (or
@@ -552,17 +414,6 @@ DecodeState::fp32Bytes() const
     for (const auto &c : layers)
         n += c->fp32Bytes();
     return n;
-}
-
-DecodeState
-makeDecodeState(const nn::Transformer &model, const KvScheme &scheme)
-{
-    DecodeState state;
-    state.layers.reserve(model.layers.size());
-    for (size_t i = 0; i < model.layers.size(); ++i)
-        state.layers.push_back(
-            std::make_unique<KvCacheReference>(scheme, model.dModel));
-    return state;
 }
 
 DecodeState

@@ -9,9 +9,10 @@
  * rows of one transformer layer for one request through a pluggable
  * per-row codec (KvScheme): rows are encoded to a packed byte stream
  * with per-row codec parameters (scale / threshold / normal type) when
- * appended, and decoded on the fly each step into the attention
- * kernel's scratch buffers.  Persistent storage is the compressed
- * stream; only the transient working set is FP32.
+ * appended into fixed-size blocks of a shared BlockPool, and decoded
+ * into a DecodedBlockCache working set that attention reads.
+ * Persistent storage is the compressed bytes; only the working set is
+ * FP32.
  *
  * Formats: FP32 passthrough (bit-exact — the decode-parity contract of
  * nn::Transformer::forwardChunk is stated against it), OVP at 4 or 8
@@ -174,9 +175,7 @@ std::vector<std::string> kvCacheFormatIds();
  * One run of consecutive decoded rows served to block-table attention:
  * row i of the span's K plane lives at k + i*d (stride = the model d),
  * likewise for V.  A cache's rows [0, length) are presented as an
- * ordered list of spans — one per referenced block when a decoded
- * working set backs the cache, or a single all-rows span from the
- * retained scratch-materializing path.
+ * ordered list of spans, one per referenced block.
  */
 struct KvSpan
 {
@@ -188,18 +187,17 @@ struct KvSpan
 /**
  * One transformer layer's K and V rows for one request, stored through
  * a KvScheme.  appendRows() encodes a chunk of tokens' K and V
- * projection rows — the only write into a cache; decodeK/decodeV
- * materialize the whole cache into (length, d) scratch tensors for the
- * attention kernel.
+ * projection rows — the only write into a cache; withDecoded() serves
+ * the decoded rows to the attention kernel.
  *
- * Two storage layouts implement the interface: KvCacheReference keeps
- * one contiguous byte stream per (request, layer) — the original
- * design, retained as the bit-exactness oracle the paged fuzz suite
- * compares against — and PagedKvCache maps logical rows through a block
+ * Production storage is PagedKvCache: logical rows map through a block
  * table into a shared BlockPool (eviction without copying, prefix
- * sharing between requests).  Both produce identical decoded tensors
- * for identical appended rows: the per-row codec bytes are a pure
- * function of the row, independent of where they are stored.
+ * sharing between requests) and are read through a decoded-block
+ * working set.  The interface stays abstract so the test suite can
+ * drive the same forward pass over its contiguous reference layout
+ * (tests/oracle/) and demand bit-identical results: the per-row codec
+ * bytes are a pure function of the row, independent of where they are
+ * stored.
  */
 class KvCache
 {
@@ -215,9 +213,9 @@ class KvCache
      * Append @p k / @p v (m, d): row i of each lands at logical
      * position length()+i.  The codec encodes each row as a pure
      * function of that row alone, so the stored bytes do not depend on
-     * how a sequence of rows is split into calls.  KvCacheReference
-     * encodes the rows in order (the oracle); PagedKvCache allocates
-     * the covering blocks up front and encodes the rows in parallel.
+     * how a sequence of rows is split into calls.  PagedKvCache
+     * allocates the covering blocks up front and encodes the rows in
+     * parallel.
      */
     virtual void appendRows(const Tensor &k, const Tensor &v) = 0;
 
@@ -240,32 +238,22 @@ class KvCache
 
     const KvScheme &scheme() const { return *scheme_; }
 
-    /** Decode all K rows into @p out, shaped (length, d) by the caller. */
-    virtual void decodeK(Tensor &out) const = 0;
-
-    /** Decode all V rows into @p out, shaped (length, d) by the caller. */
-    virtual void decodeV(Tensor &out) const = 0;
-
     /**
      * Serve the decoded form of rows [0, length) to @p fn as an ordered
      * span list (attention's read path).  The spans are valid only for
-     * the duration of the call.  The base implementation materializes a
-     * transient (length, d) scratch pair through decodeK/decodeV and
-     * passes one span — the original O(length)-codec-work-per-step path,
-     * retained as the bit-exactness oracle; PagedKvCache overrides it to
-     * pin per-block entries of a shared DecodedBlockCache, decoding only
-     * rows not already resident (O(1) amortized).  Both present
-     * identical floats: decode is a pure per-row function, so where the
-     * decoded copy lives can never change a value.
+     * the duration of the call.  PagedKvCache pins per-block entries
+     * of a shared DecodedBlockCache, decoding only rows not already
+     * resident (O(1) amortized codec work per decode step).  Decode is
+     * a pure per-row function, so where the decoded copy lives can
+     * never change a value.
      */
-    virtual void
-    withDecoded(const std::function<void(std::span<const KvSpan>)> &fn) const;
+    virtual void withDecoded(
+        const std::function<void(std::span<const KvSpan>)> &fn) const = 0;
 
     /**
-     * Persistent footprint.  Contiguous: packed payload + per-row codec
-     * params.  Paged: referenced blocks x block bytes — what this cache
-     * would occupy if nothing were shared (pool-level bytesInUse() is
-     * the deduplicated truth).
+     * Persistent footprint.  Paged: referenced blocks x block bytes —
+     * what this cache would occupy if nothing were shared (pool-level
+     * bytesInUse() is the deduplicated truth).
      */
     virtual size_t encodedBytes() const = 0;
 
@@ -275,31 +263,6 @@ class KvCache
   protected:
     const KvScheme *scheme_;
     size_t d_;
-};
-
-/**
- * The original contiguous layout: one packed byte stream per K/V side.
- * Kept alive as the oracle for the paged implementation (the churn-fuzz
- * suite runs both side by side and demands bit-identical outputs).
- */
-class KvCacheReference final : public KvCache
-{
-  public:
-    KvCacheReference(const KvScheme &scheme, size_t d);
-
-    void appendRows(const Tensor &k, const Tensor &v) override;
-    void truncate(size_t new_len) override;
-    size_t length() const override { return kMeta_.size(); }
-    void decodeK(Tensor &out) const override;
-    void decodeV(Tensor &out) const override;
-    size_t encodedBytes() const override;
-
-  private:
-    void decodeAll(const std::vector<u8> &bytes,
-                   const std::vector<KvRowMeta> &meta, Tensor &out) const;
-
-    std::vector<u8> kBytes_, vBytes_;
-    std::vector<KvRowMeta> kMeta_, vMeta_;
 };
 
 class BlockPool;
@@ -317,13 +280,12 @@ class PagedKvCache final : public KvCache
   public:
     /**
      * @param pool   must outlive the cache (and defines the scheme/d).
-     * @param dcache optional decoded-block working set (shared across
-     *               the engine's caches; must outlive this one).  When
-     *               given, withDecoded() serves per-block spans pinned
-     *               in it; when null, the base scratch path is used.
+     * @param dcache decoded-block working set over @p pool (shared
+     *               across the engine's caches; must outlive this one,
+     *               non-null).  withDecoded() serves per-block spans
+     *               pinned in it.
      */
-    explicit PagedKvCache(BlockPool &pool,
-                          DecodedBlockCache *dcache = nullptr);
+    PagedKvCache(BlockPool &pool, DecodedBlockCache *dcache);
     ~PagedKvCache() override;
 
     PagedKvCache(PagedKvCache &&) = delete;
@@ -332,8 +294,6 @@ class PagedKvCache final : public KvCache
     void appendRows(const Tensor &k, const Tensor &v) override;
     void truncate(size_t new_len) override;
     size_t length() const override { return rows_; }
-    void decodeK(Tensor &out) const override;
-    void decodeV(Tensor &out) const override;
     void withDecoded(const std::function<void(std::span<const KvSpan>)>
                          &fn) const override;
     size_t encodedBytes() const override;
@@ -370,20 +330,16 @@ class PagedKvCache final : public KvCache
     BlockPool &pool() const { return *pool_; }
 
   private:
-    /** Shared body of decodeK/decodeV: walk the block table. */
-    void decodePlane(bool k_plane, Tensor &out) const;
-
     BlockPool *pool_;
-    DecodedBlockCache *dcache_; //!< Optional; engine-owned, shared.
+    DecodedBlockCache *dcache_; //!< Engine-owned, shared.
     std::vector<u32> table_;
     size_t rows_ = 0;
 };
 
 /**
  * Per-request incremental decode state: one KvCache per transformer
- * layer plus the next position to fill.  Built by makeDecodeState
- * (contiguous reference caches) or makePagedDecodeState (block-table
- * caches over a shared pool) and advanced by
+ * layer plus the next position to fill.  Built by makePagedDecodeState
+ * (block-table caches over a shared pool) and advanced by
  * nn::Transformer::forwardChunk.
  */
 struct DecodeState
@@ -398,18 +354,14 @@ struct DecodeState
     size_t fp32Bytes() const;
 };
 
-/** Fresh contiguous decode state; @p scheme must outlive it. */
-DecodeState makeDecodeState(const nn::Transformer &model,
-                            const KvScheme &scheme);
-
 /**
- * Fresh paged decode state over @p pool; the pool (and @p dcache when
- * given — the engine's shared decoded-block working set) must outlive
- * it.
+ * Fresh paged decode state over @p pool, read through @p dcache (the
+ * shared decoded-block working set over the same pool; non-null).
+ * Both must outlive the state.
  */
 DecodeState makePagedDecodeState(const nn::Transformer &model,
                                  BlockPool &pool,
-                                 DecodedBlockCache *dcache = nullptr);
+                                 DecodedBlockCache *dcache);
 
 } // namespace serve
 } // namespace olive

@@ -441,10 +441,9 @@ Service::statsLine() const
                             {"spec_drafted", m.specDrafted},
                             {"spec_accepted", m.specAccepted},
                             {"spec_accept_rate", m.specAcceptRate()}});
-    if (const BlockPool *pool = engine_->blockPool()) {
-        ev.set("pool_blocks_in_use", pool->blocksInUse());
-        ev.set("pool_bytes_in_use", pool->bytesInUse());
-    }
+    const BlockPool *pool = engine_->blockPool();
+    ev.set("pool_blocks_in_use", pool->blocksInUse());
+    ev.set("pool_bytes_in_use", pool->bytesInUse());
     return ev.dump();
 }
 

@@ -12,8 +12,9 @@
  *
  * BlockTableAttentionMatchesScratchPath extends the contract to the
  * storage/read-path axis: block-table attention over DecodedBlockCache
- * leases must match the retained scratch-materializing path bitwise,
- * across all four KV codecs, blockRows 1..5 and every prefix length.
+ * leases must match the contiguous oracle's single scratch span
+ * (tests/oracle/) bitwise, across all four KV codecs, blockRows 1..5
+ * and every prefix length.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include "models/config.hpp"
 #include "models/synthetic.hpp"
 #include "nn/transformer.hpp"
+#include "oracle/reference.hpp"
 #include "quant/scheme.hpp"
 #include "serve/block_pool.hpp"
 #include "serve/decoded_cache.hpp"
@@ -91,7 +93,7 @@ expectParity(const nn::Transformer &model, const Tensor &x,
         model.forward(x, act_scheme, nn::ActQuant::PerToken);
 
     const serve::Fp32KvScheme fp32;
-    serve::DecodeState state = serve::makeDecodeState(model, fp32);
+    serve::DecodeState state = oracle::makeReferenceState(model, fp32);
     for (size_t pos = 0; pos < x.dim(0);) {
         const size_t n = std::min(chunk, x.dim(0) - pos);
         const Tensor h =
@@ -186,16 +188,15 @@ TEST(DecodeParity, PerTokenGranularityMatchesPerTensorOnSingleRows)
 TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
 {
     // Block-table attention (attendRowSpans over DecodedBlockCache
-    // leases) against the retained scratch-materializing path, bitwise
-    // on every 1-row decode output: architectures x all four KV codecs x
-    // blockRows 1..5 (span boundaries landing on, inside, and past the
-    // kernel's 4-wide tiles) x every prefix of a 9-token sequence.
-    // Four cache paths step in lockstep — contiguous reference, paged
-    // without a working set (scratch over paged storage), paged with an
-    // unbounded working set, and paged with a single-block working set
-    // (maximum eviction churn mid-sequence) — and all must agree on
-    // every bit: partitioning the attention reads can move work, never
-    // a value.
+    // leases) against the contiguous oracle's single scratch span,
+    // bitwise on every 1-row decode output: architectures x all four KV
+    // codecs x blockRows 1..5 (span boundaries landing on, inside, and
+    // past the kernel's 4-wide tiles) x every prefix of a 9-token
+    // sequence.  Three cache paths step in lockstep — contiguous
+    // reference, paged with an unbounded working set, and paged with a
+    // single-block working set (maximum eviction churn mid-sequence) —
+    // and all must agree on every bit: partitioning the attention reads
+    // can move work, never a value.
     const struct
     {
         size_t layers, d, heads, ff;
@@ -220,7 +221,6 @@ TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
                 // (states) die first, their block releases fire the
                 // pool hook into the still-live working set, the pool
                 // dies last — exactly how the engine orders members.
-                serve::BlockPool pool_s(*scheme, a.d, block_rows);
                 serve::BlockPool pool_u(*scheme, a.d, block_rows);
                 serve::BlockPool pool_1(*scheme, a.d, block_rows);
                 serve::DecodedBlockCache dc_u(pool_u, 0);
@@ -230,9 +230,7 @@ TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
                 pool_1.setReleaseHook(
                     [&dc_1](u32 id) { dc_1.invalidate(id); });
                 serve::DecodeState ref =
-                    serve::makeDecodeState(m, *scheme);
-                serve::DecodeState scratch =
-                    serve::makePagedDecodeState(m, pool_s);
+                    oracle::makeReferenceState(m, *scheme);
                 serve::DecodeState unbounded =
                     serve::makePagedDecodeState(m, pool_u, &dc_u);
                 serve::DecodeState tiny =
@@ -241,13 +239,9 @@ TEST(DecodeParity, BlockTableAttentionMatchesScratchPath)
                 for (size_t t = 0; t < seq; ++t) {
                     const Tensor x_t = rowsOf(x, t, 1);
                     const Tensor h0 = m.forwardChunk(x_t, ref, nullptr);
-                    const Tensor h1 =
-                        m.forwardChunk(x_t, scratch, nullptr);
                     const Tensor h2 =
                         m.forwardChunk(x_t, unbounded, nullptr);
                     const Tensor h3 = m.forwardChunk(x_t, tiny, nullptr);
-                    ASSERT_TRUE(bitIdentical(h1.row(0), h0.row(0)))
-                        << "paged-scratch diverged at prefix " << t + 1;
                     ASSERT_TRUE(bitIdentical(h2.row(0), h0.row(0)))
                         << "block-table diverged at prefix " << t + 1;
                     ASSERT_TRUE(bitIdentical(h3.row(0), h0.row(0)))
@@ -285,18 +279,13 @@ expectCachesMatch(const serve::DecodeState &a, const serve::DecodeState &b)
         const serve::KvCache &ca = *a.layers[l];
         const serve::KvCache &cb = *b.layers[l];
         ASSERT_EQ(ca.length(), cb.length()) << "layer " << l;
-        const size_t len = ca.length();
-        if (len == 0)
+        if (ca.length() == 0)
             continue;
-        const size_t d = ca.dModel();
-        Tensor ka({len, d}), kb({len, d}), va({len, d}), vb({len, d});
-        ca.decodeK(ka);
-        cb.decodeK(kb);
-        ca.decodeV(va);
-        cb.decodeV(vb);
-        ASSERT_TRUE(bitIdentical(ka.data(), kb.data()))
+        const oracle::KvPlanes pa = oracle::decodePlanes(ca);
+        const oracle::KvPlanes pb = oracle::decodePlanes(cb);
+        ASSERT_TRUE(bitIdentical(pa.k.data(), pb.k.data()))
             << "K plane diverged at layer " << l;
-        ASSERT_TRUE(bitIdentical(va.data(), vb.data()))
+        ASSERT_TRUE(bitIdentical(pa.v.data(), pb.v.data()))
             << "V plane diverged at layer " << l;
     }
 }
@@ -311,7 +300,7 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoop)
     // whole-prompt-at-once case).  The 1-row loop runs on the
     // contiguous reference cache; the chunked run is repeated on
     // reference AND paged storage, so the sweep pins both
-    // KvCacheReference::appendRows (sequential) and
+    // oracle::KvCacheReference::appendRows (sequential) and
     // PagedKvCache::appendRows (parallel bulk encode) against the same
     // oracle.
     const struct
@@ -333,22 +322,23 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoop)
                 const Tensor x =
                     randomInput(seq, a.d, seed * 17 + seq);
                 // 1-row oracle: outputs recorded per position.
-                serve::DecodeState oracle =
-                    serve::makeDecodeState(m, *scheme);
+                serve::DecodeState stepped =
+                    oracle::makeReferenceState(m, *scheme);
                 std::vector<Tensor> outs;
                 for (size_t t = 0; t < seq; ++t)
                     outs.push_back(
-                        m.forwardChunk(rowsOf(x, t, 1), oracle, nullptr));
+                        m.forwardChunk(rowsOf(x, t, 1), stepped, nullptr));
                 for (size_t chunk : chunks) {
                     SCOPED_TRACE(testing::Message()
                                  << scheme->name() << " d=" << a.d
                                  << " seq=" << seq
                                  << " chunk=" << chunk);
                     serve::BlockPool pool(*scheme, a.d, 3);
+                    serve::DecodedBlockCache dcache(pool, 0);
                     serve::DecodeState ref =
-                        serve::makeDecodeState(m, *scheme);
+                        oracle::makeReferenceState(m, *scheme);
                     serve::DecodeState paged =
-                        serve::makePagedDecodeState(m, pool);
+                        serve::makePagedDecodeState(m, pool, &dcache);
                     for (serve::DecodeState *st : {&ref, &paged}) {
                         size_t pos = 0;
                         while (pos < seq) {
@@ -363,7 +353,7 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoop)
                                     << pos + i;
                             pos += mm;
                         }
-                        expectCachesMatch(*st, oracle);
+                        expectCachesMatch(*st, stepped);
                     }
                 }
             }
@@ -382,13 +372,13 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoopWithActScheme)
     const Tensor x = randomInput(seq, 12, 770);
     const serve::Fp32KvScheme fp32;
 
-    serve::DecodeState oracle = serve::makeDecodeState(m, fp32);
+    serve::DecodeState stepped = oracle::makeReferenceState(m, fp32);
     std::vector<Tensor> outs;
     for (size_t t = 0; t < seq; ++t)
-        outs.push_back(m.forwardChunk(rowsOf(x, t, 1), oracle, &olive4));
+        outs.push_back(m.forwardChunk(rowsOf(x, t, 1), stepped, &olive4));
     for (size_t chunk : {2u, 3u, 7u}) {
         SCOPED_TRACE(chunk);
-        serve::DecodeState st = serve::makeDecodeState(m, fp32);
+        serve::DecodeState st = oracle::makeReferenceState(m, fp32);
         size_t pos = 0;
         while (pos < seq) {
             const size_t mm = std::min<size_t>(chunk, seq - pos);
@@ -399,7 +389,7 @@ TEST(DecodeParity, BatchedPrefillMatchesStepLoopWithActScheme)
                     << "position " << pos + i;
             pos += mm;
         }
-        expectCachesMatch(st, oracle);
+        expectCachesMatch(st, stepped);
     }
 }
 
@@ -411,8 +401,8 @@ TEST(DecodeParity, StepOutputsAreIndependentOfLaterTokens)
     const Tensor x = randomInput(6, 12, 51);
 
     const serve::Fp32KvScheme fp32;
-    serve::DecodeState s1 = serve::makeDecodeState(m, fp32);
-    serve::DecodeState s2 = serve::makeDecodeState(m, fp32);
+    serve::DecodeState s1 = oracle::makeReferenceState(m, fp32);
+    serve::DecodeState s2 = oracle::makeReferenceState(m, fp32);
     std::vector<Tensor> outs;
     for (size_t t = 0; t < 6; ++t)
         outs.push_back(m.forwardChunk(rowsOf(x, t, 1), s1, nullptr));

@@ -411,8 +411,7 @@ TEST(RaceStress, EngineStepRacesSnapshotAccessors)
                           eng.blockPool()->blockBytes(),
                       0u);
             eng.blockPool()->checkInvariants();
-            if (eng.decodedCache() != nullptr)
-                eng.decodedCache()->checkInvariants();
+            eng.decodedCache()->checkInvariants();
             std::this_thread::yield();
         }
     });

@@ -21,7 +21,9 @@
 #include "eval/perplexity.hpp"
 #include "models/config.hpp"
 #include "models/synthetic.hpp"
+#include "oracle/reference.hpp"
 #include "serve/cache_eval.hpp"
+#include "serve/decoded_cache.hpp"
 #include "serve/engine.hpp"
 #include "serve/kv_cache.hpp"
 #include "tensor/gemm.hpp"
@@ -262,8 +264,8 @@ TEST(KvCache, ByteAccountingAndCompression)
     const size_t d = 96, rows = 16;
     const serve::Fp32KvScheme fp32;
     const serve::OvpKvScheme olive4(4);
-    serve::KvCacheReference cache_fp32(fp32, d);
-    serve::KvCacheReference cache_ovp(olive4, d);
+    oracle::KvCacheReference cache_fp32(fp32, d);
+    oracle::KvCacheReference cache_ovp(olive4, d);
     for (size_t i = 0; i < rows; ++i) {
         const auto k = outlierRow(d, 100 + i);
         const auto v = outlierRow(d, 200 + i);
@@ -280,11 +282,11 @@ TEST(KvCache, ByteAccountingAndCompression)
               0.25 * static_cast<double>(cache_ovp.fp32Bytes()));
 
     // Decoded shapes and fp32 exactness.
-    Tensor k_dec({rows, d}), v_dec({rows, d});
-    cache_fp32.decodeK(k_dec);
-    cache_fp32.decodeV(v_dec);
+    const oracle::KvPlanes dec = oracle::decodePlanes(cache_fp32);
+    EXPECT_EQ(dec.k.dim(0), rows);
+    EXPECT_EQ(dec.v.dim(1), d);
     const auto k0 = outlierRow(d, 100);
-    EXPECT_TRUE(bitIdentical(k_dec.row(0), k0));
+    EXPECT_TRUE(bitIdentical(dec.k.row(0), k0));
 }
 
 TEST(KvCache, FormatFactoryAndParse)
@@ -314,8 +316,9 @@ TEST(PagedKvCache, DecodesBitIdenticalToReferenceLayout)
           static_cast<const serve::KvScheme *>(&olive4),
           static_cast<const serve::KvScheme *>(&int8)}) {
         serve::BlockPool pool(*s, d, 3); // 8 rows -> 3 blocks, 1 partial
-        serve::PagedKvCache paged(pool);
-        serve::KvCacheReference ref(*s, d);
+        serve::DecodedBlockCache dcache(pool, 0);
+        serve::PagedKvCache paged(pool, &dcache);
+        oracle::KvCacheReference ref(*s, d);
         for (size_t i = 0; i < rows; ++i) {
             const auto k = outlierRow(d, 300 + i);
             const auto v = outlierRow(d, 400 + i);
@@ -325,13 +328,10 @@ TEST(PagedKvCache, DecodesBitIdenticalToReferenceLayout)
         EXPECT_EQ(paged.length(), rows);
         EXPECT_EQ(paged.blockCount(), 3u);
         EXPECT_EQ(paged.encodedBytes(), 3 * pool.blockBytes());
-        Tensor pk({rows, d}), rk({rows, d}), pv({rows, d}), rv({rows, d});
-        paged.decodeK(pk);
-        ref.decodeK(rk);
-        paged.decodeV(pv);
-        ref.decodeV(rv);
-        EXPECT_TRUE(bitIdentical(pk.data(), rk.data())) << s->name();
-        EXPECT_TRUE(bitIdentical(pv.data(), rv.data())) << s->name();
+        const oracle::KvPlanes pp = oracle::decodePlanes(paged);
+        const oracle::KvPlanes rp = oracle::decodePlanes(ref);
+        EXPECT_TRUE(bitIdentical(pp.k.data(), rp.k.data())) << s->name();
+        EXPECT_TRUE(bitIdentical(pp.v.data(), rp.v.data())) << s->name();
         pool.checkInvariants();
     }
 }
@@ -341,12 +341,13 @@ TEST(PagedKvCache, ShareFromRefcountsFullBlocksAndCopiesThePartial)
     const size_t d = 16, B = 4;
     const serve::Fp32KvScheme fp32;
     serve::BlockPool pool(fp32, d, B);
-    auto donor = std::make_unique<serve::PagedKvCache>(pool);
+    serve::DecodedBlockCache dcache(pool, 0);
+    auto donor = std::make_unique<serve::PagedKvCache>(pool, &dcache);
     for (size_t i = 0; i < 10; ++i)
         appendRow(*donor, outlierRow(d, 500 + i), outlierRow(d, 600 + i));
     ASSERT_EQ(donor->blockCount(), 3u); // 4 + 4 + 2 rows
 
-    serve::PagedKvCache sharer(pool);
+    serve::PagedKvCache sharer(pool, &dcache);
     sharer.shareFrom(*donor, 9); // 2 full blocks + 1 CoW row
     EXPECT_EQ(sharer.length(), 9u);
     EXPECT_EQ(sharer.blockCount(), 3u);
@@ -365,9 +366,8 @@ TEST(PagedKvCache, ShareFromRefcountsFullBlocksAndCopiesThePartial)
     // Shared rows decode bit-identical to the donor's prefix; the
     // sharer can append divergent rows without touching the donor.
     appendRow(sharer, outlierRow(d, 700), outlierRow(d, 701));
-    Tensor sk({10, d}), dk({10, d});
-    sharer.decodeK(sk);
-    donor->decodeK(dk);
+    const Tensor sk = oracle::decodePlanes(sharer).k;
+    const Tensor dk = oracle::decodePlanes(*donor).k;
     for (size_t i = 0; i < 9; ++i)
         EXPECT_TRUE(bitIdentical(sk.row(i), dk.row(i))) << i;
     EXPECT_FALSE(bitIdentical(sk.row(9), dk.row(9))); // diverged
@@ -503,9 +503,9 @@ TEST(ServeEngine, StopTokensEndGenerationEarly)
 {
     // Find what the model would greedily generate, then make its
     // second token a stop token: generation must end there (inclusive)
-    // instead of running to the budget — identically in the paged and
-    // contiguous engines, so data-dependent lengths do not perturb the
-    // storage layer.
+    // instead of running to the budget — identically in the engine and
+    // in solo greedy decode over contiguous reference caches, so
+    // data-dependent lengths do not perturb the storage layer.
     const eval::LmModel lm = tinyLm(42);
     const std::vector<int> prompt = {7, 21, 3};
     const size_t max_new = 6;
@@ -518,54 +518,54 @@ TEST(ServeEngine, StopTokensEndGenerationEarly)
     ASSERT_EQ(full.size(), max_new);
     const int stop = full[1];
 
-    for (bool paged : {true, false}) {
-        serve::ServeConfig cfg;
-        cfg.pagedCache = paged;
-        serve::ServeEngine engine(lm, cfg);
-        engine.submit(prompt, max_new, {stop});
-        engine.runToCompletion(1000);
-        ASSERT_EQ(engine.finished().size(), 1u);
-        const serve::FinishedRequest &f = engine.finished()[0];
-        EXPECT_TRUE(f.stoppedByToken) << paged;
-        ASSERT_EQ(f.generated.size(), 2u) << paged;
-        EXPECT_EQ(f.generated[0], full[0]);
-        EXPECT_EQ(f.generated[1], stop);
-    }
+    serve::ServeEngine engine(lm, plain);
+    engine.submit(prompt, max_new, {stop});
+    engine.runToCompletion(1000);
+    ASSERT_EQ(engine.finished().size(), 1u);
+    const serve::FinishedRequest &f = engine.finished()[0];
+    EXPECT_TRUE(f.stoppedByToken);
+    ASSERT_EQ(f.generated.size(), 2u);
+    EXPECT_EQ(f.generated[0], full[0]);
+    EXPECT_EQ(f.generated[1], stop);
+    EXPECT_EQ(f.generated,
+              oracle::referenceStream(lm, plain.cacheFormat, prompt,
+                                      max_new, {stop}));
 }
 
 TEST(ServeEngine, StopTokenEvictionKeepsStreamsBitIdentical)
 {
     // Data-dependent request lengths reshape eviction and admission
-    // timing; the paged engine must still match the contiguous oracle
-    // token for token.  Low-entropy stop sets make hits frequent.
+    // timing; the engine must still match solo greedy decode over the
+    // contiguous oracle token for token.  Low-entropy stop sets make
+    // hits frequent.
     const eval::LmModel lm = tinyLm(43);
     const auto prompts = randomPrompts(6, 8, lm.vocab, 19);
-    Rng rng(77);
-    const auto by_id = [&](bool paged) {
-        serve::ServeConfig cfg;
-        cfg.pagedCache = paged;
-        cfg.maxBatchTokens = 4;
-        cfg.maxActiveRequests = 2;
-        cfg.blockRows = 2;
-        serve::ServeEngine engine(lm, cfg);
-        Rng stops_rng(55);
-        for (const auto &p : prompts) {
-            std::vector<int> stops = {
-                static_cast<int>(stops_rng.uniformInt(lm.vocab)),
-                static_cast<int>(stops_rng.uniformInt(lm.vocab))};
-            engine.submit(p, 6, stops);
-        }
-        engine.runToCompletion(100000);
-        std::map<u64, std::vector<int>> out;
-        size_t stopped = 0;
-        for (const serve::FinishedRequest &f : engine.finished()) {
-            out[f.id] = f.generated;
-            stopped += f.stoppedByToken ? 1u : 0u;
-        }
-        EXPECT_GT(stopped, 0u); // the schedule is genuinely dynamic
-        return out;
-    };
-    EXPECT_EQ(by_id(true), by_id(false));
+    Rng stops_rng(55);
+    std::vector<std::vector<int>> stops(prompts.size());
+    for (auto &st : stops)
+        st = {static_cast<int>(stops_rng.uniformInt(lm.vocab)),
+              static_cast<int>(stops_rng.uniformInt(lm.vocab))};
+
+    serve::ServeConfig cfg;
+    cfg.maxBatchTokens = 4;
+    cfg.maxActiveRequests = 2;
+    cfg.blockRows = 2;
+    serve::ServeEngine engine(lm, cfg);
+    std::map<u64, std::vector<int>> expected;
+    for (size_t i = 0; i < prompts.size(); ++i) {
+        const u64 id = engine.submit(prompts[i], 6, stops[i]);
+        expected[id] = oracle::referenceStream(lm, cfg.cacheFormat,
+                                               prompts[i], 6, stops[i]);
+    }
+    engine.runToCompletion(100000);
+    std::map<u64, std::vector<int>> out;
+    size_t stopped = 0;
+    for (const serve::FinishedRequest &f : engine.finished()) {
+        out[f.id] = f.generated;
+        stopped += f.stoppedByToken ? 1u : 0u;
+    }
+    EXPECT_GT(stopped, 0u); // the schedule is genuinely dynamic
+    EXPECT_EQ(out, expected);
 }
 
 TEST(ServeEngine, SharedPrefixShrinksPoolFootprint)
@@ -832,6 +832,98 @@ TEST(CacheImpact, QuantizedCacheTradesExactnessForBytes)
     EXPECT_LE(i4.compression(), 0.25);
 }
 
+/**
+ * serve::cacheImpact's computation, term for term, over the oracle's
+ * contiguous reference state instead of a paged one.
+ */
+serve::CacheImpact
+referenceCacheImpact(const eval::LmModel &lm, const eval::TokenData &text,
+                     const serve::KvScheme &scheme)
+{
+    const size_t d = lm.backbone.dModel;
+    serve::CacheImpact impact;
+    impact.scheme = scheme.name();
+    double ce_sum = 0.0, hid_se = 0.0, lg_se = 0.0;
+    size_t ce_count = 0, hid_count = 0, lg_count = 0;
+    for (const std::vector<int> &seq : text) {
+        if (seq.size() < 2)
+            continue;
+        const Tensor xfull = lm.embed(seq);
+        const Tensor href = lm.backbone.forward(xfull);
+        const Tensor lgref = lm.logitsFromHidden(href);
+        serve::DecodeState state =
+            oracle::makeReferenceState(lm.backbone, scheme);
+        const Tensor h = lm.backbone.forwardChunk(xfull, state);
+        const Tensor lg = lm.logitsFromHidden(h);
+        for (size_t t = 0; t < seq.size(); ++t) {
+            for (size_t j = 0; j < d; ++j) {
+                const double dv = static_cast<double>(h.row(t)[j]) -
+                                  static_cast<double>(href.row(t)[j]);
+                hid_se += dv * dv;
+            }
+            hid_count += d;
+            for (size_t v = 0; v < lm.vocab; ++v) {
+                const double dv = static_cast<double>(lg.row(t)[v]) -
+                                  static_cast<double>(lgref.row(t)[v]);
+                lg_se += dv * dv;
+            }
+            lg_count += lm.vocab;
+            if (t + 1 < seq.size()) {
+                ce_sum += ops::crossEntropyRow(lg.row(t), seq[t + 1]);
+                ++ce_count;
+            }
+        }
+        impact.encodedBytes += state.encodedBytes();
+        impact.fp32Bytes += state.fp32Bytes();
+    }
+    impact.perplexity = std::exp(ce_sum / static_cast<double>(ce_count));
+    impact.hiddenMse = hid_se / static_cast<double>(hid_count);
+    impact.logitMse = lg_se / static_cast<double>(lg_count);
+    return impact;
+}
+
+TEST(CacheImpact, PagedAccountingIsExactAndMatchesReferenceState)
+{
+    // cacheImpact runs on a private paged state with one row per
+    // block: its byte count must be the codec's exact payload + meta
+    // (no partial-block slack), and every quality metric must be
+    // bit-identical to the same computation over contiguous reference
+    // caches — storage layout can never move a number.
+    const eval::LmModel lm = eval::makeLm(models::byName("GPT2-XL"), 1234);
+    Rng rng(29);
+    const eval::TokenData text = eval::sampleText(lm, 2, 12, rng);
+    const size_t d = lm.backbone.dModel;
+    const size_t layers = lm.backbone.layers.size();
+    size_t rows = 0;
+    for (const std::vector<int> &seq : text)
+        rows += seq.size() >= 2 ? seq.size() * layers : 0;
+    ASSERT_GT(rows, 0u);
+    const auto sameBits = [](double x, double y) {
+        return std::memcmp(&x, &y, sizeof x) == 0;
+    };
+    for (const serve::KvCacheFormat fmt :
+         {serve::KvCacheFormat::Fp32, serve::KvCacheFormat::Int8,
+          serve::KvCacheFormat::Olive8, serve::KvCacheFormat::Olive4}) {
+        const auto scheme = serve::makeKvScheme(fmt);
+        SCOPED_TRACE(scheme->name());
+        const serve::CacheImpact paged =
+            serve::cacheImpact(lm, text, *scheme);
+        const serve::CacheImpact ref =
+            referenceCacheImpact(lm, text, *scheme);
+        EXPECT_EQ(paged.encodedBytes,
+                  rows * 2 *
+                      (scheme->rowBytes(d) + scheme->metaBytesPerRow()));
+        EXPECT_EQ(paged.encodedBytes, ref.encodedBytes);
+        EXPECT_EQ(paged.fp32Bytes, ref.fp32Bytes);
+        EXPECT_TRUE(sameBits(paged.perplexity, ref.perplexity))
+            << paged.perplexity << " vs " << ref.perplexity;
+        EXPECT_TRUE(sameBits(paged.hiddenMse, ref.hiddenMse))
+            << paged.hiddenMse << " vs " << ref.hiddenMse;
+        EXPECT_TRUE(sameBits(paged.logitMse, ref.logitMse))
+            << paged.logitMse << " vs " << ref.logitMse;
+    }
+}
+
 // ----------------------------------------------------- determinism
 
 TEST(ServeDeterminism, TokenStreamsBitIdenticalAcrossThreadCounts)
@@ -871,7 +963,7 @@ TEST(ServeDeterminism, DecodeStepBitIdenticalAcrossThreadCounts)
     Tensor x({1, lm.backbone.dModel});
 
     par::setThreadCount(1);
-    serve::DecodeState s1 = serve::makeDecodeState(lm.backbone, olive4);
+    serve::DecodeState s1 = oracle::makeReferenceState(lm.backbone, olive4);
     std::vector<Tensor> ref;
     std::vector<Tensor> inputs;
     for (size_t t = 0; t < 6; ++t) {
@@ -882,7 +974,8 @@ TEST(ServeDeterminism, DecodeStepBitIdenticalAcrossThreadCounts)
     }
     for (size_t threads : {2u, 0u}) {
         par::setThreadCount(threads);
-        serve::DecodeState s2 = serve::makeDecodeState(lm.backbone, olive4);
+        serve::DecodeState s2 =
+            oracle::makeReferenceState(lm.backbone, olive4);
         for (size_t t = 0; t < 6; ++t) {
             const Tensor h = lm.backbone.forwardChunk(inputs[t], s2);
             EXPECT_TRUE(bitIdentical(h.data(), ref[t].data()))

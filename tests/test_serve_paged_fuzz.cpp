@@ -3,23 +3,24 @@
  * Randomized churn fuzz for the paged KV cache: seeded random request
  * mixes (prompt lengths, arrival order, shared/unshared prefixes, stop
  * tokens, forced admission stalls via tiny pool capacities) are driven
- * through a paged engine and through the contiguous KvCacheReference
- * engine side by side, and every generated token stream must be
- * bit-identical between the two — the oracle discipline of the
- * *Reference() kernels (PR 3) applied to the storage layer.
+ * through the engine, and every generated token stream must be
+ * bit-identical to solo greedy decode of the same request over the
+ * contiguous reference caches in tests/oracle/ — the oracle discipline
+ * of the *Reference() kernels applied to the storage layer.  The
+ * engine's determinism contract makes each stream a pure function of
+ * (prompt, budget, stop tokens, format), so no schedule may move it.
  *
- * For scheduling-identical configurations (sharing off, unbounded
- * pool) the two engines are additionally run in lockstep and their
- * decoded cache contents compared bitwise after every step, so a paged
- * row landing in the wrong (block, slot) is caught at the byte level,
- * not just through a diverged argmax.  Pool invariants are re-checked
- * after every step of every paged run.
+ * With sharing off and an unbounded pool, every active cache is
+ * additionally compared bitwise after every step against a per-request
+ * reference state advanced over the same tokens, so a paged row
+ * landing in the wrong (block, slot) is caught at the byte level, not
+ * just through a diverged argmax.  Pool invariants are re-checked
+ * after every step of every run.
  *
  * The DecodedCacheFuzz suite re-runs the same schedules with the
  * decoded-block working set forced to degenerate capacities (one
- * block, barely-enough, unbounded, off), demanding oracle-identical
- * streams from each and meta-asserting that tiny capacities actually
- * evict.
+ * block, barely-enough, unbounded), demanding oracle-identical streams
+ * from each and meta-asserting that tiny capacities actually evict.
  *
  * The ctest "serve" legs run this whole binary at OLIVE_THREADS=1 and
  * =8; a dedicated test also flips the pool size in-process.
@@ -34,6 +35,7 @@
 #include "eval/perplexity.hpp"
 #include "models/config.hpp"
 #include "models/synthetic.hpp"
+#include "oracle/reference.hpp"
 #include "serve/engine.hpp"
 #include "serve/workload.hpp"
 #include "util/parallel.hpp"
@@ -75,15 +77,14 @@ struct SubSpec
 struct Schedule
 {
     std::vector<SubSpec> subs;
-    serve::ServeConfig paged; //!< pagedCache = true variant.
-    serve::ServeConfig ref;   //!< Same scheduling knobs, contiguous.
+    serve::ServeConfig cfg;
 };
 
 Schedule
 randomSchedule(Rng &rng, size_t vocab, size_t n_layers)
 {
     Schedule s;
-    serve::ServeConfig &cfg = s.paged;
+    serve::ServeConfig &cfg = s.cfg;
     switch (rng.uniformInt(8)) {
     case 0:
         cfg.cacheFormat = serve::KvCacheFormat::Olive4;
@@ -150,12 +151,20 @@ randomSchedule(Rng &rng, size_t vocab, size_t n_layers)
             rng.uniformInt(std::max<size_t>(1, total_blocks -
                                                    max_blocks_one));
     }
-
-    s.ref = cfg;
-    s.ref.pagedCache = false;
-    s.ref.prefixSharing = false;
-    s.ref.poolBlocks = 0;
     return s;
+}
+
+/** Solo greedy decode of every submission; keyed by the id the engine
+ *  assigns (1, 2, ... in submission order). */
+std::map<u64, std::vector<int>>
+referenceStreams(const eval::LmModel &lm, serve::KvCacheFormat format,
+                 const std::vector<SubSpec> &subs)
+{
+    std::map<u64, std::vector<int>> out;
+    for (size_t i = 0; i < subs.size(); ++i)
+        out[i + 1] = oracle::referenceStream(lm, format, subs[i].prompt,
+                                             subs[i].maxNew, subs[i].stops);
+    return out;
 }
 
 /** Drive one engine through a schedule; returns id -> generated. */
@@ -174,10 +183,8 @@ runSchedule(const eval::LmModel &lm, const serve::ServeConfig &cfg,
             ++si;
         }
         eng.step();
-        if (const serve::BlockPool *pool = eng.blockPool())
-            pool->checkInvariants();
-        if (const serve::DecodedBlockCache *dc = eng.decodedCache())
-            dc->checkInvariants();
+        eng.blockPool()->checkInvariants();
+        eng.decodedCache()->checkInvariants();
         ++step_idx;
         if (step_idx >= 100000u) {
             ADD_FAILURE() << "schedule did not drain";
@@ -194,11 +201,9 @@ runSchedule(const eval::LmModel &lm, const serve::ServeConfig &cfg,
         for (const serve::FinishedRequest &f : eng.finished())
             *stopped_out += f.stoppedByToken ? 1u : 0u;
     }
-    if (const serve::BlockPool *pool = eng.blockPool()) {
-        // Fully drained: every block went back to the free list.
-        EXPECT_EQ(pool->blocksInUse(), 0u);
-        pool->checkInvariants();
-    }
+    // Fully drained: every block went back to the free list.
+    EXPECT_EQ(eng.blockPool()->blocksInUse(), 0u);
+    eng.blockPool()->checkInvariants();
     return out;
 }
 
@@ -215,8 +220,9 @@ struct ThreadCountGuard
 };
 
 // The acceptance bar: >= 100 seeded schedules, each compared
-// bit-identically against the contiguous oracle (the ctest serve legs
-// run this at OLIVE_THREADS=1 and =8, covering both pool shapes).
+// bit-identically against solo greedy decode over the contiguous
+// oracle (the ctest serve legs run this at OLIVE_THREADS=1 and =8,
+// covering both pool shapes).
 TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
 {
     const eval::LmModel lm = fuzzLm(4242);
@@ -227,21 +233,21 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
             randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
         SCOPED_TRACE(testing::Message()
                      << "seed=" << seed << " fmt="
-                     << static_cast<int>(s.paged.cacheFormat)
-                     << " blockRows=" << s.paged.blockRows << " pool="
-                     << s.paged.poolBlocks << " share="
-                     << s.paged.prefixSharing);
+                     << static_cast<int>(s.cfg.cacheFormat)
+                     << " blockRows=" << s.cfg.blockRows << " pool="
+                     << s.cfg.poolBlocks << " share="
+                     << s.cfg.prefixSharing);
         serve::ServeMetrics pm;
         size_t stopped = 0;
-        const auto paged = runSchedule(lm, s.paged, s.subs, &pm, &stopped);
-        const auto ref = runSchedule(lm, s.ref, s.subs);
+        const auto paged = runSchedule(lm, s.cfg, s.subs, &pm, &stopped);
+        const auto ref = referenceStreams(lm, s.cfg.cacheFormat, s.subs);
         EXPECT_EQ(paged, ref);
         shared_rows_total += pm.sharedPrefillRowsSkipped;
         stopped_total += stopped;
-        capped_pools += s.paged.poolBlocks > 0 ? 1u : 0u;
+        capped_pools += s.cfg.poolBlocks > 0 ? 1u : 0u;
         // Copy-on-write is the only payload copier; without sharing
         // nothing may ever be copied.
-        if (!s.paged.prefixSharing) {
+        if (!s.cfg.prefixSharing) {
             EXPECT_EQ(pm.cowCopyRows, 0u);
         }
     }
@@ -251,71 +257,86 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
     EXPECT_GT(capped_pools, 20u) << "too few capacity-capped schedules";
 }
 
-// Scheduling-identical configurations (sharing off, unbounded pool)
-// run in lockstep: after every step the active sets must coincide and
-// every active cache must decode to bit-identical K/V tensors.
+// After every step, every active cache must hold bit-identical K/V
+// planes to a per-request reference state advanced over the same
+// tokens (prompt ++ generated, up to the request's position) — a row in
+// the wrong (block, slot), or a shared or copy-on-write prefix row that
+// differs from what the request would have computed alone, fails here
+// at the byte level.  The reference is per request, so the schedules
+// keep the sharing and pool caps randomSchedule rolls.
 TEST(PagedFuzz, LockstepCacheContentsBitIdentical)
 {
     const eval::LmModel lm = fuzzLm(990);
-    const size_t d = lm.backbone.dModel;
+    u64 shared_rows_total = 0;
     for (u64 seed = 1; seed <= 15; ++seed) {
         Rng rng(seed * 104729);
-        Schedule s =
+        const Schedule s =
             randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
-        s.paged.prefixSharing = false;
-        s.paged.poolBlocks = 0;
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
 
-        serve::ServeEngine paged(lm, s.paged);
-        serve::ServeEngine ref(lm, s.ref);
+        const auto scheme = serve::makeKvScheme(s.cfg.cacheFormat);
+        serve::ServeEngine eng(lm, s.cfg);
+        std::map<u64, const SubSpec *> sub_of;
+        std::map<u64, serve::DecodeState> ref;
         size_t step_idx = 0, si = 0;
-        while (si < s.subs.size() || paged.pendingCount() > 0 ||
-               paged.activeCount() > 0) {
+        while (si < s.subs.size() || eng.pendingCount() > 0 ||
+               eng.activeCount() > 0) {
             while (si < s.subs.size() && s.subs[si].atStep <= step_idx) {
                 const SubSpec &sub = s.subs[si];
-                ASSERT_EQ(paged.submit(sub.prompt, sub.maxNew, sub.stops),
-                          ref.submit(sub.prompt, sub.maxNew, sub.stops));
+                sub_of[eng.submit(sub.prompt, sub.maxNew, sub.stops)] =
+                    &sub;
                 ++si;
             }
-            paged.step();
-            ref.step();
+            eng.step();
             ++step_idx;
             ASSERT_LT(step_idx, 100000u);
 
-            const auto ids = paged.activeIds();
-            ASSERT_EQ(ids, ref.activeIds());
-            for (u64 id : ids) {
-                const serve::DecodeState *ps = paged.activeState(id);
-                const serve::DecodeState *rs = ref.activeState(id);
+            for (const auto &p : eng.progressSnapshot()) {
+                const serve::DecodeState *ps = eng.activeState(p.id);
                 ASSERT_NE(ps, nullptr);
-                ASSERT_NE(rs, nullptr);
-                ASSERT_EQ(ps->position, rs->position);
+                ASSERT_EQ(ps->position, p.position);
+                std::vector<int> tokens = sub_of.at(p.id)->prompt;
+                tokens.insert(tokens.end(), p.generated.begin(),
+                              p.generated.end());
+                ASSERT_LE(ps->position, tokens.size());
+                auto it = ref.find(p.id);
+                if (it == ref.end())
+                    it = ref.emplace(p.id, oracle::makeReferenceState(
+                                               lm.backbone, *scheme))
+                             .first;
+                serve::DecodeState &rs = it->second;
+                ASSERT_LE(rs.position, ps->position);
+                if (rs.position < ps->position) {
+                    const std::vector<int> feed(
+                        tokens.begin() +
+                            static_cast<std::ptrdiff_t>(rs.position),
+                        tokens.begin() +
+                            static_cast<std::ptrdiff_t>(ps->position));
+                    lm.backbone.forwardChunk(lm.embed(feed), rs);
+                }
+                ASSERT_EQ(rs.position, ps->position);
                 for (size_t li = 0; li < ps->layers.size(); ++li) {
                     const serve::KvCache &pc = *ps->layers[li];
-                    const serve::KvCache &rc = *rs->layers[li];
+                    const serve::KvCache &rc = *rs.layers[li];
                     ASSERT_EQ(pc.length(), rc.length());
                     if (pc.length() == 0)
                         continue;
-                    Tensor pk({pc.length(), d}), rk({rc.length(), d});
-                    Tensor pv({pc.length(), d}), rv({rc.length(), d});
-                    pc.decodeK(pk);
-                    rc.decodeK(rk);
-                    pc.decodeV(pv);
-                    rc.decodeV(rv);
-                    ASSERT_TRUE(bitIdentical(pk.data(), rk.data()))
-                        << "K layer " << li << " req " << id;
-                    ASSERT_TRUE(bitIdentical(pv.data(), rv.data()))
-                        << "V layer " << li << " req " << id;
+                    const oracle::KvPlanes pp = oracle::decodePlanes(pc);
+                    const oracle::KvPlanes rp = oracle::decodePlanes(rc);
+                    ASSERT_TRUE(bitIdentical(pp.k.data(), rp.k.data()))
+                        << "K layer " << li << " req " << p.id;
+                    ASSERT_TRUE(bitIdentical(pp.v.data(), rp.v.data()))
+                        << "V layer " << li << " req " << p.id;
                 }
             }
         }
-        std::map<u64, std::vector<int>> pout, rout;
-        for (const serve::FinishedRequest &f : paged.finished())
-            pout[f.id] = f.generated;
-        for (const serve::FinishedRequest &f : ref.finished())
-            rout[f.id] = f.generated;
-        EXPECT_EQ(pout, rout);
+        std::map<u64, std::vector<int>> out;
+        for (const serve::FinishedRequest &f : eng.finished())
+            out[f.id] = f.generated;
+        EXPECT_EQ(out, referenceStreams(lm, s.cfg.cacheFormat, s.subs));
+        shared_rows_total += eng.metrics().sharedPrefillRowsSkipped;
     }
+    EXPECT_GT(shared_rows_total, 0u) << "no schedule shared a prefix";
 }
 
 // Prefix sharing must be invisible in the token streams: the same
@@ -329,9 +350,9 @@ TEST(PagedFuzz, SharingIsTokenStreamInvisible)
         Rng rng(seed * 31337);
         Schedule s =
             randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
-        s.paged.poolBlocks = 0; // isolate sharing from capacity stalls
+        s.cfg.poolBlocks = 0; // isolate sharing from capacity stalls
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
-        serve::ServeConfig on = s.paged, off = s.paged;
+        serve::ServeConfig on = s.cfg, off = s.cfg;
         on.prefixSharing = true;
         off.prefixSharing = false;
         serve::ServeMetrics m_on;
@@ -347,11 +368,10 @@ TEST(PagedFuzz, SharingIsTokenStreamInvisible)
 // the working set at degenerate capacities — one single block (maximum
 // eviction pressure; the soft cap overflows transiently whenever a
 // table pins more than one block), barely enough for the largest
-// request, unbounded, and off entirely (the retained scratch path) —
-// and each variant's token streams must stay bit-identical to the
-// contiguous oracle.  The capacity knob may only move work, never a
-// value.  Registered as the ctest serve.decoded_cache legs at
-// OLIVE_THREADS=1 and =8.
+// request, and unbounded — and each variant's token streams must stay
+// bit-identical to solo greedy decode over the contiguous oracle.  The
+// capacity knob may only move work, never a value.  Registered as the
+// ctest serve.decoded_cache legs at OLIVE_THREADS=1 and =8.
 TEST(DecodedCacheFuzz, CapacitySweepMatchesReferenceOracle)
 {
     const eval::LmModel lm = fuzzLm(4242);
@@ -362,40 +382,28 @@ TEST(DecodedCacheFuzz, CapacitySweepMatchesReferenceOracle)
         const Schedule s = randomSchedule(rng, lm.vocab, n_layers);
         SCOPED_TRACE(testing::Message()
                      << "seed=" << seed << " blockRows="
-                     << s.paged.blockRows << " pool=" << s.paged.poolBlocks);
-        const auto ref = runSchedule(lm, s.ref, s.subs);
+                     << s.cfg.blockRows << " pool=" << s.cfg.poolBlocks);
+        const auto ref = referenceStreams(lm, s.cfg.cacheFormat, s.subs);
         // Barely enough: the largest single request's full block count
         // across all layers — its own working set fits, but any
         // concurrency or sharing across requests contends.
         size_t barely = 1;
         for (const SubSpec &sub : s.subs) {
             const size_t rows = sub.prompt.size() + sub.maxNew - 1;
-            const size_t blocks = (rows + s.paged.blockRows - 1) /
-                                  s.paged.blockRows * n_layers;
+            const size_t blocks = (rows + s.cfg.blockRows - 1) /
+                                  s.cfg.blockRows * n_layers;
             barely = std::max(barely, blocks);
         }
-        const struct
-        {
-            bool on;
-            size_t cap;
-        } variants[] = {{true, 1}, {true, barely}, {true, 0}, {false, 0}};
-        for (const auto &var : variants) {
-            serve::ServeConfig cfg = s.paged;
-            cfg.decodedCache = var.on;
-            cfg.decodedCacheBlocks = var.cap;
+        for (const size_t cap : {size_t{1}, barely, size_t{0}}) {
+            serve::ServeConfig cfg = s.cfg;
+            cfg.decodedCacheBlocks = cap;
             serve::ServeMetrics m;
             const auto out = runSchedule(lm, cfg, s.subs, &m);
-            EXPECT_EQ(out, ref)
-                << "decodedCache=" << var.on << " cap=" << var.cap;
-            if (!var.on) {
-                EXPECT_EQ(m.decodedCacheMisses, 0u);
-                EXPECT_EQ(m.decodedCacheRows, 0u);
-                continue;
-            }
-            if (var.cap == 1) {
+            EXPECT_EQ(out, ref) << "cap=" << cap;
+            if (cap == 1) {
                 evictions_tiny += m.decodedCacheEvictions;
                 hits_tiny += m.decodedCacheHits;
-            } else if (var.cap == 0) {
+            } else if (cap == 0) {
                 hits_unbounded += m.decodedCacheHits;
                 EXPECT_EQ(m.decodedCacheEvictions, 0u)
                     << "an unbounded working set must never evict";
@@ -432,9 +440,9 @@ TEST(SpeculativeFuzz, StreamsBitIdenticalToGreedyDecode)
             randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
         // Speculation only engages when the step budget exceeds the
         // guaranteed per-request token, so give the batch headroom.
-        s.paged.maxBatchTokens =
-            std::max<size_t>(s.paged.maxBatchTokens, 4);
-        serve::ServeConfig spec = s.paged;
+        s.cfg.maxBatchTokens =
+            std::max<size_t>(s.cfg.maxBatchTokens, 4);
+        serve::ServeConfig spec = s.cfg;
         spec.speculate = true;
         spec.draftLen = 1 + seed % 4;
         SCOPED_TRACE(testing::Message()
@@ -445,7 +453,7 @@ TEST(SpeculativeFuzz, StreamsBitIdenticalToGreedyDecode)
         serve::ServeMetrics sm;
         size_t stopped = 0;
         const auto a = runSchedule(lm, spec, s.subs, &sm, &stopped);
-        const auto b = runSchedule(lm, s.paged, s.subs);
+        const auto b = runSchedule(lm, s.cfg, s.subs);
         EXPECT_EQ(a, b);
         // Every finished request records exactly one TTFT sample.
         EXPECT_EQ(sm.ttftSeconds.size(), a.size());
@@ -558,8 +566,7 @@ TEST(RetentionFuzz, MultiTurnChurnRetentionIsStreamInvisible)
 
         serve::ReplayOptions opts;
         opts.onStep = [](serve::ServeEngine &e) {
-            if (const serve::BlockPool *pool = e.blockPool())
-                pool->checkInvariants();
+            e.blockPool()->checkInvariants();
         };
         const auto replay = [&](bool retain, serve::ServeMetrics *m) {
             serve::ServeConfig c = cfg;
@@ -628,10 +635,10 @@ TEST(PagedFuzz, SchedulesBitIdenticalAcrossThreadCounts)
             randomSchedule(rng, lm.vocab, lm.backbone.layers.size());
         SCOPED_TRACE(testing::Message() << "seed=" << seed);
         par::setThreadCount(1);
-        const auto serial = runSchedule(lm, s.paged, s.subs);
+        const auto serial = runSchedule(lm, s.cfg, s.subs);
         for (size_t threads : {2u, 0u}) {
             par::setThreadCount(threads);
-            EXPECT_EQ(runSchedule(lm, s.paged, s.subs), serial)
+            EXPECT_EQ(runSchedule(lm, s.cfg, s.subs), serial)
                 << threads;
         }
     }

@@ -147,8 +147,9 @@ TEST_P(ModelSweep, ChannelScalesModulateDominantChannels)
         lo0 = std::max(lo0, static_cast<double>(std::fabs(lo.at(t, ch0))));
         hi0 = std::max(hi0, static_cast<double>(std::fabs(hi.at(t, ch0))));
     }
-    if (lo0 > 0.0 && hi0 > 0.0)
+    if (lo0 > 0.0 && hi0 > 0.0) {
         EXPECT_NEAR(hi0 / lo0, 3.0, 0.2);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Models, ModelSweep,

@@ -468,7 +468,6 @@ TEST(WorkloadReplay, MultiTurnRetentionStreamsArePinned)
         serve::ServeConfig cfg;
         cfg.maxBatchTokens = 16;
         cfg.maxActiveRequests = 4;
-        cfg.pagedCache = true;
         cfg.blockRows = 4;
         cfg.retainPrefixes = retain;
         serve::ServeEngine engine(lm, cfg);
