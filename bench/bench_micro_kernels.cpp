@@ -3,8 +3,9 @@
  * Before/after microbenchmarks of the software hot paths this repo
  * optimizes: normal-codec encode, OVP stream encode/decode, the fused
  * fakeQuant round trip, quantizer calibration, the tiled GEMM kernels,
- * and single-row linearForward (the decode projections' row-dot path)
- * at the eval-dims weight shapes.  Every kernel runs its retained
+ * and linearForward at the eval-dims weight shapes with one A row (the
+ * decode projections' one-row dot loop) and with 32 (a prefill chunk
+ * through the staged tile).  Every kernel runs its retained
  * *Reference() oracle and its fast path back to back, asserts the
  * outputs are bit-identical, and reports both throughputs plus the
  * speedup.  Results are also written as machine-readable JSON
@@ -253,41 +254,46 @@ main(int argc, char **argv)
         rows.push_back(r);
     }
 
-    // --- m=1 linearForward at the eval-dims weight shapes ---------------
+    // --- linearForward at the eval-dims weight shapes -------------------
     // The decode projections (QKV/O, FFN in and out) and the LM head,
-    // as (out, in): single-row calls take the row-dot path.  Each call
-    // is ~10-100 us, so the timed body loops `calls` times and the row
-    // reports per-call seconds.
+    // as (out, in), called with one A row (decode: the one-row dot
+    // loop) and with 32 (a long-prompt prefill chunk: the staged tile).
+    // Each call is ~10 us-1 ms, so the timed body loops `calls` times
+    // and the row reports per-call seconds.
     const models::ModelConfig eval_cfg = models::gpt2Xl();
     const size_t d = eval_cfg.evalDModel, ff = eval_cfg.evalDFf;
     const size_t linear_shapes[][2] = {
         {d, d}, {ff, d}, {d, ff}, {eval_cfg.evalVocab, d},
     };
     const int calls = static_cast<int>(smoke::count(200, 20));
-    for (const auto &shape : linear_shapes) {
-        const size_t n = shape[0], k = shape[1];
-        const std::string name =
-            "linear m1 " + std::to_string(n) + "x" + std::to_string(k);
-        KernelRow r{name, 1.0, "call/s"};
-        const Tensor x = gaussianTensor({1, k}, 3 + n);
-        const Tensor w = gaussianTensor({n, k}, 4 + k);
-        const Tensor bias = gaussianTensor({n}, 5 + n);
-        Tensor ref_c, fast_c;
-        r.refSec = secondsOf(reps, [&] {
-            for (int c = 0; c < calls; ++c) {
-                ref_c = matmulTransBReference(x, w);
-                for (size_t j = 0; j < n; ++j)
-                    ref_c[j] += bias[j];
-            }
-        });
-        r.fastSec = secondsOf(reps, [&] {
-            for (int c = 0; c < calls; ++c)
-                fast_c = linearForward(x, w, bias);
-        });
-        r.refSec /= calls;
-        r.fastSec /= calls;
-        r.identical = sameTensor(ref_c, fast_c);
-        rows.push_back(r);
+    for (const size_t m : {1ul, 32ul}) {
+        for (const auto &shape : linear_shapes) {
+            const size_t n = shape[0], k = shape[1];
+            const std::string name = "linear m" + std::to_string(m) + " " +
+                                     std::to_string(n) + "x" +
+                                     std::to_string(k);
+            KernelRow r{name, 1.0, "call/s"};
+            const Tensor x = gaussianTensor({m, k}, 3 + n);
+            const Tensor w = gaussianTensor({n, k}, 4 + k);
+            const Tensor bias = gaussianTensor({n}, 5 + n);
+            Tensor ref_c, fast_c;
+            r.refSec = secondsOf(reps, [&] {
+                for (int c = 0; c < calls; ++c) {
+                    ref_c = matmulTransBReference(x, w);
+                    for (size_t i = 0; i < m; ++i)
+                        for (size_t j = 0; j < n; ++j)
+                            ref_c.at(i, j) += bias[j];
+                }
+            });
+            r.fastSec = secondsOf(reps, [&] {
+                for (int c = 0; c < calls; ++c)
+                    fast_c = linearForward(x, w, bias);
+            });
+            r.refSec /= calls;
+            r.fastSec /= calls;
+            r.identical = sameTensor(ref_c, fast_c);
+            rows.push_back(r);
+        }
     }
 
     // --- axpy ----------------------------------------------------------

@@ -402,10 +402,11 @@ main(int argc, char **argv)
         batched.prefillChunk = 32;
         serve::ServeConfig stepwise = batched;
         stepwise.prefillChunk = 1;
-        // Single-row projections no longer re-transpose W on every
-        // call, so the chunk path now leads the loop by ~1.3-2x instead
-        // of ~7x and one run's median can flip on a loaded host: each
-        // side keeps the best of three alternating runs.
+        // No projection copies W: single-row calls read it in place
+        // and 32-row chunks stage it one small tile at a time, so the
+        // chunk path leads the loop by a small factor, not ~7x, and
+        // one run's median can flip on a loaded host: each side keeps
+        // the best of three alternating runs.
         RunResult fast, slow;
         for (int rep = 0; rep < 3; ++rep) {
             RunResult f = runChecked(lm, batched, long_prompts, 2, nthreads);

@@ -1,6 +1,7 @@
 #include "gemm.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <vector>
 
 #include "util/parallel.hpp"
@@ -9,219 +10,176 @@ namespace olive {
 
 namespace {
 
-/** Row / inner-dim cache block (rows per parallel chunk, l per pass). */
-constexpr size_t kBlock = 64;
-
-/**
- * Register-tile width: independent double accumulator chains hide the
- * add latency of the serial per-element accumulation (ILP must come
- * from adjacent output elements), sized for baseline x86-64's sixteen
- * xmm registers.
- */
-constexpr size_t kJTile = 16;
-
 /** Elements per parallel chunk of axpy. */
 constexpr size_t kAxpyGrain = 1u << 14;
 
 /**
- * Row-dot register tile: output columns per tile.  With the 2-row tile
- * that makes sixteen independent double accumulator chains, sharing
- * each widened W element across both A rows.
+ * Output columns of one staged tile.  Sixteen double accumulators per
+ * A row are independent add chains, which hides the add latency of
+ * the serial per-element accumulation, and fill half of baseline
+ * x86-64's sixteen xmm registers.
  */
-constexpr size_t kRowDotCols = 8;
+constexpr size_t kTileCols = 16;
+
+/** Inner-index depth of one staged tile: 8 x 16 doubles = 1 KiB. */
+constexpr size_t kTileDepth = 8;
+
+/** A rows streamed over each staged tile (rows per parallel block). */
+constexpr size_t kRowBlock = 64;
 
 /**
- * Output columns per parallel chunk of the row-dot kernel.  Chunks
- * split columns, never the inner dimension, so every element is still
- * one whole dot product and the result is the same at any thread
- * count; 128 columns keep an m=1 chunk at ~10 us of work at eval dims.
+ * Output columns per parallel chunk.  Chunks split columns, never the
+ * inner dimension, so every element is one whole accumulation and the
+ * result is the same at any thread count; 128 columns keep an m = 1
+ * chunk at ~10 us of work at eval dims.
  */
-constexpr size_t kRowDotChunk = 128;
+constexpr size_t kColChunk = 128;
 
 /**
- * Core streaming GEMM: C = A(m,k) * B(k,n) [+ bias] with B row-major,
- * given either as floats (@p pbf) or already widened to double
- * (@p pbd; exactly one is non-null).  Cache-blocked over l (kBlock)
- * with a per-row-block double accumulator; float B blocks are widened
- * to a double scratch once per l-block instead of re-running the
- * float->double conversion for every A row (widening is exact, so
- * products are unchanged); the kJTile register tile keeps partial sums
- * in registers across the l-block instead of round-tripping the
- * accumulator buffer once per l.  Every output element accumulates in
- * double over ascending l (blocks ascend, l ascends within a block) —
- * exactly the reference order — so the kernel is bit-identical to
- * matmulReference, and to matmulTransBReference when B holds the
- * transposed weights.
+ * The right-hand operand as B^T(j, l) = b[j * sj + l * sl]: (k, 1) for
+ * W stored (n, k), (1, n) for a plain (k, n) B.
+ */
+struct TransView
+{
+    const float *b;
+    size_t sj, sl;
+};
+
+/**
+ * Columns [j0, j1) of c = a * W^T [+ bias] for one A row, W stored
+ * (n, k): each output is one dot product with W's stored row, eight
+ * columns at a time, reading W in place.
+ */
+void
+rowDot(const float *a, const float *w, size_t k, const float *bias,
+       float *c, size_t j0, size_t j1)
+{
+    constexpr size_t kCols = 8;
+    const auto store = [&](size_t j, double acc) {
+        const float v = static_cast<float>(acc);
+        c[j] = bias ? v + bias[j] : v;
+    };
+    size_t j = j0;
+    for (; j + kCols <= j1; j += kCols) {
+        double t[kCols] = {};
+        const float *wj = w + j * k;
+        for (size_t l = 0; l < k; ++l) {
+            const double av = a[l];
+            for (size_t u = 0; u < kCols; ++u)
+                t[u] += av * wj[u * k + l];
+        }
+        for (size_t u = 0; u < kCols; ++u)
+            store(j + u, t[u]);
+    }
+    for (; j < j1; ++j) {
+        const float *wj = w + j * k;
+        double t = 0.0;
+        for (size_t l = 0; l < k; ++l)
+            t += static_cast<double>(a[l]) * wj[l];
+        store(j, t);
+    }
+}
+
+/**
+ * Two doubles in one 128-bit vector (an xmm register on baseline
+ * x86-64).  Its + and * are the lane-wise IEEE double operations.
+ */
+using Lanes = double __attribute__((vector_size(16)));
+
+/** Vectors per staged tile row. */
+constexpr size_t kTileVecs = kTileCols / 2;
+
+/**
+ * Rows [i0, i1) (at most kRowBlock), columns [j0, j1) of
+ * C = A * B^T [+ bias].  For each kTileCols x kTileDepth patch, B^T's
+ * elements are widened into a 1 KiB stack tile (widening is exact), and
+ * every A row of the block is streamed over it with its kTileCols
+ * accumulators, so each widened element serves up to kRowBlock rows and
+ * no copy of B outlives the patch.
+ */
+void
+tileBlock(const float *a, TransView bt, size_t k, size_t n,
+          const float *bias, float *c, size_t i0, size_t i1, size_t j0,
+          size_t j1)
+{
+    Lanes acc[kRowBlock][kTileVecs];
+    // Tile columns past a column tail hold zeros or an earlier
+    // patch's values; the sums they feed are never stored.
+    double tile[kTileDepth][kTileCols] = {};
+    for (size_t jt = j0; jt < j1; jt += kTileCols) {
+        const size_t cols = std::min(kTileCols, j1 - jt);
+        for (size_t r = 0; r < i1 - i0; ++r)
+            for (size_t v = 0; v < kTileVecs; ++v)
+                acc[r][v] = Lanes{0.0, 0.0};
+        for (size_t l0 = 0; l0 < k; l0 += kTileDepth) {
+            const size_t depth = std::min(kTileDepth, k - l0);
+            for (size_t u = 0; u < cols; ++u) {
+                const float *bj = bt.b + (jt + u) * bt.sj + l0 * bt.sl;
+                for (size_t dl = 0; dl < depth; ++dl)
+                    tile[dl][u] = bj[dl * bt.sl];
+            }
+            for (size_t i = i0; i < i1; ++i) {
+                const float *arow = a + i * k + l0;
+                Lanes t[kTileVecs];
+                for (size_t v = 0; v < kTileVecs; ++v)
+                    t[v] = acc[i - i0][v];
+                for (size_t dl = 0; dl < depth; ++dl) {
+                    const double x = arow[dl];
+                    const Lanes av = {x, x};
+                    for (size_t v = 0; v < kTileVecs; ++v) {
+                        Lanes bv;
+                        std::memcpy(&bv, &tile[dl][2 * v], sizeof bv);
+                        t[v] += av * bv;
+                    }
+                }
+                for (size_t v = 0; v < kTileVecs; ++v)
+                    acc[i - i0][v] = t[v];
+            }
+        }
+        for (size_t i = i0; i < i1; ++i) {
+            float *crow = c + i * n + jt;
+            const Lanes *t = acc[i - i0];
+            // float(acc) + bias in float arithmetic, as the reference's
+            // separate bias sweep adds it.
+            for (size_t u = 0; u < cols; ++u) {
+                const float v = static_cast<float>(t[u / 2][u % 2]);
+                crow[u] = bias ? v + bias[jt + u] : v;
+            }
+        }
+    }
+}
+
+/**
+ * C = A(m, k) * B^T [+ bias] with B^T(j, l) read through @p bt.  Every
+ * output accumulates double(a[i,l]) * double(B^T[j,l]) in double from
+ * 0.0 over ascending l, the *Reference() order, so the result is
+ * bit-identical to the references.  The pool splits flattened
+ * (row block, column chunk) pairs.
  */
 Tensor
-streamKernel(const Tensor &a, const float *pbf, const double *pbd,
-             size_t n, const float *bias)
+gemmKernel(const Tensor &a, TransView bt, size_t n, const float *bias)
 {
     const size_t m = a.dim(0), k = a.dim(1);
     Tensor c({m, n});
     const float *pa = a.raw();
     float *pc = c.raw();
-
-    par::parallelFor(0, m, kBlock, [&](size_t r0, size_t r1) {
-        std::vector<double> acc((r1 - r0) * n, 0.0);
-        std::vector<double> bscratch(pbd ? 0 : kBlock * n);
-        for (size_t l0 = 0; l0 < k; l0 += kBlock) {
-            const size_t l1 = std::min(l0 + kBlock, k);
-            const double *bblk;
-            if (pbd) {
-                bblk = pbd + l0 * n;
-            } else {
-                for (size_t l = l0; l < l1; ++l) {
-                    const float *brow = pbf + l * n;
-                    double *drow = bscratch.data() + (l - l0) * n;
-                    for (size_t j = 0; j < n; ++j)
-                        drow[j] = brow[j];
-                }
-                bblk = bscratch.data();
-            }
-            for (size_t i = r0; i < r1; ++i) {
-                double *arow_acc = acc.data() + (i - r0) * n;
-                const float *arow = pa + i * k;
-                size_t j = 0;
-                for (; j + kJTile <= n; j += kJTile) {
-                    double t[kJTile];
-                    for (size_t u = 0; u < kJTile; ++u)
-                        t[u] = arow_acc[j + u];
-                    for (size_t l = l0; l < l1; ++l) {
-                        const double av = arow[l];
-                        const double *brow = bblk + (l - l0) * n + j;
-                        for (size_t u = 0; u < kJTile; ++u)
-                            t[u] += av * brow[u];
-                    }
-                    for (size_t u = 0; u < kJTile; ++u)
-                        arow_acc[j + u] = t[u];
-                }
-                for (; j < n; ++j) {
-                    double t = arow_acc[j];
-                    for (size_t l = l0; l < l1; ++l)
-                        t += static_cast<double>(arow[l]) *
-                             bblk[(l - l0) * n + j];
-                    arow_acc[j] = t;
-                }
-            }
-        }
-        for (size_t i = r0; i < r1; ++i) {
-            const double *arow = acc.data() + (i - r0) * n;
-            float *crow = pc + i * n;
-            if (bias) {
-                // float(acc) + bias in float arithmetic, exactly the
-                // add the former second sweep applied to the stored
-                // float.
-                for (size_t j = 0; j < n; ++j)
-                    crow[j] = static_cast<float>(arow[j]) + bias[j];
-            } else {
-                for (size_t j = 0; j < n; ++j)
-                    crow[j] = static_cast<float>(arow[j]);
-            }
+    const size_t col_chunks = par::chunkCount(0, n, kColChunk);
+    const size_t pairs = par::chunkCount(0, m, kRowBlock) * col_chunks;
+    par::parallelFor(0, pairs, 1, [&](size_t p0, size_t p1) {
+        for (size_t p = p0; p < p1; ++p) {
+            const size_t i0 = p / col_chunks * kRowBlock;
+            const size_t j0 = p % col_chunks * kColChunk;
+            const size_t i1 = std::min(i0 + kRowBlock, m);
+            const size_t j1 = std::min(j0 + kColChunk, n);
+            // A lone row gives a staged tile no second row to reuse;
+            // when B^T's rows are W's stored rows, read them in place.
+            if (m == 1 && bt.sj == k && bt.sl == 1)
+                rowDot(pa, bt.b, k, bias, pc, j0, j1);
+            else
+                tileBlock(pa, bt, k, n, bias, pc, i0, i1, j0, j1);
         }
     });
     return c;
-}
-
-/** (n,k) floats -> row-major (k,n) doubles (widening is exact). */
-std::vector<double>
-transposeToDouble(const Tensor &b)
-{
-    const size_t n = b.dim(0), k = b.dim(1);
-    std::vector<double> out(k * n);
-    const float *pb = b.raw();
-    par::parallelFor(0, n, kBlock, [&](size_t j0, size_t j1) {
-        for (size_t j = j0; j < j1; ++j)
-            for (size_t l = 0; l < k; ++l)
-                out[l * n + j] = pb[j * k + l];
-    });
-    return out;
-}
-
-/**
- * Rows [0, R) of C = A * W^T [+ bias] over output columns [j0, j1),
- * reading W in its stored (n, k) layout: each output element is one
- * dot product of an A row with a W row, accumulated in double from 0.0
- * over ascending l — the matmulTransBReference order, so the result is
- * bit-identical to it (and the bias add is streamKernel's).  @p a and
- * @p c point at the tile's first row.
- */
-template <size_t R>
-void
-rowDotTile(const float *a, const float *w, size_t k, size_t n,
-           const float *bias, float *c, size_t j0, size_t j1)
-{
-    const auto store = [&](size_t r, size_t j, double acc) {
-        const float v = static_cast<float>(acc);
-        c[r * n + j] = bias ? v + bias[j] : v;
-    };
-    size_t j = j0;
-    for (; j + kRowDotCols <= j1; j += kRowDotCols) {
-        double t[R][kRowDotCols] = {};
-        const float *wj = w + j * k;
-        for (size_t l = 0; l < k; ++l) {
-            double av[R];
-            for (size_t r = 0; r < R; ++r)
-                av[r] = a[r * k + l];
-            for (size_t u = 0; u < kRowDotCols; ++u) {
-                const double wv = wj[u * k + l];
-                for (size_t r = 0; r < R; ++r)
-                    t[r][u] += av[r] * wv;
-            }
-        }
-        for (size_t r = 0; r < R; ++r)
-            for (size_t u = 0; u < kRowDotCols; ++u)
-                store(r, j + u, t[r][u]);
-    }
-    for (; j < j1; ++j) {
-        const float *wj = w + j * k;
-        for (size_t r = 0; r < R; ++r) {
-            double t = 0.0;
-            for (size_t l = 0; l < k; ++l)
-                t += static_cast<double>(a[r * k + l]) * wj[l];
-            store(r, j, t);
-        }
-    }
-}
-
-/**
- * C = A * W^T [+ bias] for A with few rows: no transpose and no copy
- * of W.  Output columns split across the pool in kRowDotChunk chunks;
- * within a chunk A rows go through the row-dot tile two at a time.
- */
-Tensor
-rowDotKernel(const Tensor &a, const Tensor &w, const float *bias)
-{
-    const size_t m = a.dim(0), k = a.dim(1), n = w.dim(0);
-    Tensor c({m, n});
-    const float *pa = a.raw();
-    const float *pw = w.raw();
-    float *pc = c.raw();
-    par::parallelFor(0, n, kRowDotChunk, [&](size_t j0, size_t j1) {
-        size_t i = 0;
-        for (; i + 2 <= m; i += 2)
-            rowDotTile<2>(pa + i * k, pw, k, n, bias, pc + i * n, j0, j1);
-        if (i < m)
-            rowDotTile<1>(pa + i * k, pw, k, n, bias, pc + i * n, j0, j1);
-    });
-    return c;
-}
-
-/**
- * C = A * W^T [+ bias], W stored (n, k).  Below kRowDotCrossover rows
- * the row-dot kernel reads W in place; from there on one O(n*k)
- * widening transpose turns the strided dot products into the streaming
- * kernel's unit-stride row passes, which it then amortizes over every
- * A row.  Both accumulate a(i,l) * w(j,l) in double over ascending l,
- * so either path is bit-identical to matmulTransBReference.
- */
-Tensor
-transBKernel(const Tensor &a, const Tensor &w, const float *bias)
-{
-    if (a.dim(0) < kRowDotCrossover)
-        return rowDotKernel(a, w, bias);
-    const std::vector<double> wt = transposeToDouble(w);
-    return streamKernel(a, nullptr, wt.data(), w.dim(0), bias);
 }
 
 } // namespace
@@ -231,7 +189,8 @@ matmul(const Tensor &a, const Tensor &b)
 {
     OLIVE_ASSERT(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
     OLIVE_ASSERT(b.dim(0) == a.dim(1), "matmul inner dims must agree");
-    return streamKernel(a, b.raw(), nullptr, b.dim(1), nullptr);
+    const size_t n = b.dim(1);
+    return gemmKernel(a, {b.raw(), 1, n}, n, nullptr);
 }
 
 Tensor
@@ -239,7 +198,7 @@ matmulTransB(const Tensor &a, const Tensor &b)
 {
     OLIVE_ASSERT(a.rank() == 2 && b.rank() == 2, "matmul needs matrices");
     OLIVE_ASSERT(b.dim(1) == a.dim(1), "matmulTransB inner dims must agree");
-    return transBKernel(a, b, nullptr);
+    return gemmKernel(a, {b.raw(), b.dim(1), 1}, b.dim(0), nullptr);
 }
 
 Tensor
@@ -249,7 +208,7 @@ linearForward(const Tensor &a, const Tensor &w, const Tensor &bias)
     OLIVE_ASSERT(w.dim(1) == a.dim(1), "matmulTransB inner dims must agree");
     OLIVE_ASSERT(bias.rank() == 1 && bias.dim(0) == w.dim(0),
                  "bias must match output features");
-    return transBKernel(a, w, bias.raw());
+    return gemmKernel(a, {w.raw(), w.dim(1), 1}, w.dim(0), bias.raw());
 }
 
 void
@@ -273,6 +232,8 @@ matmulReference(const Tensor &a, const Tensor &b)
     const size_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
     OLIVE_ASSERT(b.dim(0) == k, "matmul inner dims must agree");
 
+    // Rows per parallel chunk and l per pass.
+    constexpr size_t kBlock = 64;
     Tensor c({m, n});
     const float *pa = a.raw();
     const float *pb = b.raw();

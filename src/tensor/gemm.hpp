@@ -1,30 +1,28 @@
 /**
  * @file
- * Blocked single-precision GEMM and friends.
+ * Single-precision GEMM and friends.
  *
  * C = A(m,k) * B(k,n) [+ bias], with optional transposition of B.  This
  * is the reference arithmetic path for the functional evaluation; the
  * hardware-accurate integer path lives in src/hw.
  *
- * Every variant accumulates each output element in double over
- * ascending inner index, so matmul and matmulTransB agree bitwise on
- * transposed inputs, and parallel execution (util/parallel; over rows,
- * or over output columns on the row-dot path) is bit-identical to
+ * matmul, matmulTransB and linearForward run one tile-staged kernel
+ * that reads B where it is stored, through strides: for each 16-column
+ * x 8-deep patch of B^T it widens the elements into a small stack tile
+ * and streams a block of up to 64 A rows over it.  No copy of W is made
+ * per call.  A matmulTransB/linearForward call with exactly one A row
+ * (decode projections, the LM head) has no second row to reuse a staged
+ * tile, so it takes each output as a dot product over W's stored row
+ * instead.
+ *
+ * Every output element accumulates in double from 0.0 over ascending
+ * inner index — the order of the straightforward *Reference()
+ * implementations retained below as oracles — so the kernel is
+ * bit-identical to them (tests/test_kernels_oracle.cpp compares them
+ * bytewise), matmul and matmulTransB agree bitwise on transposed
+ * inputs, and parallel execution (util/parallel; over row blocks and
+ * output-column chunks, never the inner index) is bit-identical to
  * serial at any OLIVE_THREADS value.
- *
- * matmulTransB and linearForward take one of two paths by A's row
- * count.  Below kRowDotCrossover rows (decode, speculative verify,
- * short prefill slices) a row-dot kernel takes each output as one dot
- * product over W's stored (out, in) row, with no transpose and no copy
- * of W; from the crossover on, W is widened and transposed once per
- * call and streamed, which the extra rows amortize.
- *
- * The public kernels are register-tiled and cache-blocked; tiling only
- * regroups which output elements are computed together — each element
- * still accumulates over the same ascending inner index in double — so
- * the fast kernels are bit-identical to the straightforward
- * *Reference() implementations retained below as oracles
- * (tests/test_kernels_oracle.cpp compares them bytewise).
  */
 
 #ifndef OLIVE_TENSOR_GEMM_HPP
@@ -33,18 +31,6 @@
 #include "tensor.hpp"
 
 namespace olive {
-
-/**
- * A-row count from which matmulTransB/linearForward switch from the
- * row-dot kernel to the transpose-and-stream kernel.  Set from a
- * single-thread sweep of m = 1..32 at the eval-dims weight shapes
- * (n x k = 128x128, 256x128, 128x256, 1024x128) on a 4-vCPU x86-64
- * host: row-dot led at all four shapes through m = 14 (~8x at m = 1,
- * ~1.2x at m = 14), tied at m = 16 on 128x256, and trailed on three of
- * the four from m = 24.  It depends on the call's shape only, so the
- * path — never the result — is fixed per call.
- */
-inline constexpr size_t kRowDotCrossover = 16;
 
 /**
  * C = A * B.  A is (m,k), B is (k,n), C is resized/created as (m,n).

@@ -12,9 +12,11 @@
  *    encode/decode/fakeQuant round trips against the pre-LUT reference.
  *  - OliveQuantizer: fakeQuantMse == stats::mse(s, fakeQuant(s)) and
  *    calibrate() decision == calibrateReference() decision.
- *  - GEMM: tiled matmul/matmulTransB/linearForward bytewise against the
- *    untiled references, including remainder shapes and every row count
- *    around the row-dot crossover; parallel axpy against a serial loop.
+ *  - GEMM: the tile-staged matmul/matmulTransB/linearForward bytewise
+ *    against the untiled references, at the eval-dims weight shapes and
+ *    at column/inner tails that are not multiples of the 16 x 8 staged
+ *    tile, over row counts around the one-row case and the 64-row
+ *    block, and at 1 vs 8 threads; parallel axpy against a serial loop.
  */
 
 #include <gtest/gtest.h>
@@ -304,6 +306,24 @@ bitEqualTensor(const Tensor &a, const Tensor &b)
            std::memcmp(a.raw(), b.raw(), a.size() * sizeof(float)) == 0;
 }
 
+/**
+ * (n, k): the eval-dims weight shapes, then tails where n is not a
+ * multiple of the 16-column staged tile and k not of its depth of 8.
+ */
+constexpr size_t kTileEdgeShapes[][2] = {
+    {128, 128}, {256, 128}, {128, 256}, {1024, 128},
+    {35, 41}, {13, 7}, {1, 3}, {9, 129},
+};
+
+/**
+ * A row counts: the one-row case, small blocks, and both sides of the
+ * 64-row block edge and of two blocks.
+ */
+constexpr size_t kTileEdgeRows[] = {
+    1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17,
+    31, 32, 33, 63, 64, 65, 129,
+};
+
 } // namespace gemm_oracle
 
 TEST(GemmOracle, TiledMatmulMatchesReference)
@@ -320,6 +340,23 @@ TEST(GemmOracle, TiledMatmulMatchesReference)
         const Tensor b = randomTensor({s[1], s[2]}, 13 * s[1] + s[0]);
         EXPECT_TRUE(bitEqualTensor(matmul(a, b), matmulReference(a, b)))
             << s[0] << "x" << s[1] << "x" << s[2];
+    }
+    // matmul reads a plain (k, n) B through the staged tile's strides:
+    // the tile-edge shapes, as B = W^T, with a planted cancelling pair.
+    for (const auto &s : kTileEdgeShapes) {
+        const size_t n = s[0], k = s[1];
+        Tensor w = randomTensor({n, k}, 37 * n + k);
+        for (const size_t m : kTileEdgeRows) {
+            Tensor a = randomTensor({m, k}, 41 * m + n);
+            if (k >= 4)
+                plantCancellingPair(a, w);
+            Tensor b({k, n});
+            for (size_t j = 0; j < n; ++j)
+                for (size_t l = 0; l < k; ++l)
+                    b.at(l, j) = w.at(j, l);
+            EXPECT_TRUE(bitEqualTensor(matmul(a, b), matmulReference(a, b)))
+                << "m=" << m << " n=" << n << " k=" << k;
+        }
     }
 }
 
@@ -367,25 +404,19 @@ TEST(GemmOracle, LinearForwardMatchesReferencePlusBias)
     EXPECT_TRUE(bitEqualTensor(fast, ref));
 }
 
-// Every row count on both sides of the row-dot / transpose-and-stream
-// crossover, at the eval-dims weight shapes and at tail shapes where n
-// is not a multiple of the row-dot column tile and k is odd: both
-// paths of matmulTransB (no bias) and linearForward (bias) stay
-// bitwise equal to the reference.  Where k allows, a planted
-// cancelling pair makes the accumulation order observable.
+// The tile-edge row counts at the eval-dims weight shapes and at the
+// tail shapes: the one-row dot loop and the staged tile, through
+// matmulTransB (no bias) and linearForward (bias), stay bitwise equal
+// to the reference.  Where k allows, a planted cancelling pair makes
+// the accumulation order observable.
 TEST(GemmOracle, BothTransBPathsMatchReferenceAroundCrossover)
 {
     using namespace gemm_oracle;
-    // (n, k): the eval-dims shapes, then the tails.
-    const size_t shapes[][2] = {
-        {128, 128}, {256, 128}, {128, 256}, {1024, 128},
-        {35, 41}, {13, 7}, {1, 3}, {9, 129},
-    };
-    for (const auto &s : shapes) {
+    for (const auto &s : kTileEdgeShapes) {
         const size_t n = s[0], k = s[1];
         Tensor w = randomTensor({n, k}, 11 * n + k);
         const Tensor bias = randomTensor({n}, 17 * n + k);
-        for (size_t m = 1; m <= kRowDotCrossover + 1; ++m) {
+        for (const size_t m : kTileEdgeRows) {
             Tensor a = randomTensor({m, k}, 19 * m + n);
             if (k >= 4)
                 plantCancellingPair(a, w);
@@ -401,21 +432,25 @@ TEST(GemmOracle, BothTransBPathsMatchReferenceAroundCrossover)
     }
 }
 
-// The row-dot kernel splits output columns across the pool; the LM
-// head shape spans several chunks, so a 1-thread and an 8-thread run
-// must produce the same bytes.
+// The kernel splits (row block, output-column chunk) pairs across the
+// pool; the LM head shape spans several column chunks, so a 1-thread
+// and an 8-thread run must produce the same bytes for the one-row call
+// and for the staged-tile calls at m = 2 (decode verify) and m = 32
+// (a prefill chunk).
 TEST(GemmOracle, RowDotHeadIsThreadCountInvariant)
 {
     using namespace gemm_oracle;
-    const Tensor a = randomTensor({1, 128}, 23);
     const Tensor w = randomTensor({1024, 128}, 29);
     const Tensor bias = randomTensor({1024}, 31);
-    par::setThreadCount(1);
-    const Tensor serial = linearForward(a, w, bias);
-    par::setThreadCount(8);
-    const Tensor parallel = linearForward(a, w, bias);
-    par::setThreadCount(0);
-    EXPECT_TRUE(bitEqualTensor(serial, parallel));
+    for (const size_t m : {1ul, 2ul, 32ul}) {
+        const Tensor a = randomTensor({m, 128}, 23 + m - 1);
+        par::setThreadCount(1);
+        const Tensor serial = linearForward(a, w, bias);
+        par::setThreadCount(8);
+        const Tensor parallel = linearForward(a, w, bias);
+        par::setThreadCount(0);
+        EXPECT_TRUE(bitEqualTensor(serial, parallel)) << "m=" << m;
+    }
 }
 
 TEST(GemmOracle, ParallelAxpyMatchesSerialLoop)

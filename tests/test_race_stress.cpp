@@ -403,7 +403,13 @@ TEST(RaceStress, EngineStepRacesSnapshotAccessors)
             const size_t fin = eng.finishedCount();
             ASSERT_GE(fin, last_finished);
             last_finished = fin;
-            ASSERT_LE(eng.pendingCount() + eng.activeCount() + fin,
+            // Requests only move pending -> active -> finished, so
+            // reading finished, then active, then pending counts each
+            // at most once; summing three reads in an unsequenced
+            // order double-counts one admitted between them.
+            const size_t act = eng.activeCount();
+            const size_t pend = eng.pendingCount();
+            ASSERT_LE(pend + act + fin,
                       prompts.size() + 1); // never invents requests
             for (u64 id : eng.activeIds())
                 (void)eng.activeState(id); // lookup only; no deref

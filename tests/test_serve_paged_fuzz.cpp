@@ -113,7 +113,14 @@ randomSchedule(Rng &rng, size_t vocab, size_t n_layers)
         sub.atStep = rng.uniformInt(8);
         if (rng.uniformInt(2) == 0) {
             // Shared-prefix request: base prefix + divergent suffix.
-            const size_t keep = 2 + rng.uniformInt(base.size() - 1);
+            size_t keep = 2 + rng.uniformInt(base.size() - 1);
+            // Half the prefixes that can end on the last row of a
+            // second block of three or more rows do, so copy-on-write
+            // copies a multi-row partial block.
+            const size_t deep = 2 * cfg.blockRows - 1;
+            if (cfg.blockRows >= 3 && deep <= base.size() &&
+                rng.uniformInt(2) == 0)
+                keep = deep;
             sub.prompt.assign(base.begin(),
                               base.begin() +
                                   static_cast<std::ptrdiff_t>(
@@ -167,12 +174,27 @@ referenceStreams(const eval::LmModel &lm, serve::KvCacheFormat format,
     return out;
 }
 
+/**
+ * Finished requests whose shared prefix ends two or more rows into a
+ * block: their copy-on-write copied a multi-row partial block.
+ */
+size_t
+deepShares(std::span<const serve::FinishedRequest> finished,
+           size_t block_rows)
+{
+    size_t n = 0;
+    for (const serve::FinishedRequest &f : finished)
+        n += f.sharedPrefixRows % block_rows >= 2 ? 1u : 0u;
+    return n;
+}
+
 /** Drive one engine through a schedule; returns id -> generated. */
 std::map<u64, std::vector<int>>
 runSchedule(const eval::LmModel &lm, const serve::ServeConfig &cfg,
             const std::vector<SubSpec> &subs,
             serve::ServeMetrics *metrics_out = nullptr,
-            size_t *stopped_out = nullptr)
+            size_t *stopped_out = nullptr,
+            size_t *deep_shares_out = nullptr)
 {
     serve::ServeEngine eng(lm, cfg);
     size_t step_idx = 0, si = 0;
@@ -201,6 +223,8 @@ runSchedule(const eval::LmModel &lm, const serve::ServeConfig &cfg,
         for (const serve::FinishedRequest &f : eng.finished())
             *stopped_out += f.stoppedByToken ? 1u : 0u;
     }
+    if (deep_shares_out)
+        *deep_shares_out = deepShares(eng.finished(), cfg.blockRows);
     // Fully drained: every block went back to the free list.
     EXPECT_EQ(eng.blockPool()->blocksInUse(), 0u);
     eng.blockPool()->checkInvariants();
@@ -227,6 +251,7 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
 {
     const eval::LmModel lm = fuzzLm(4242);
     u64 shared_rows_total = 0, stopped_total = 0, capped_pools = 0;
+    u64 deep_shares_total = 0;
     for (u64 seed = 1; seed <= 100; ++seed) {
         Rng rng(seed * 7919);
         const Schedule s =
@@ -238,12 +263,14 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
                      << s.cfg.poolBlocks << " share="
                      << s.cfg.prefixSharing);
         serve::ServeMetrics pm;
-        size_t stopped = 0;
-        const auto paged = runSchedule(lm, s.cfg, s.subs, &pm, &stopped);
+        size_t stopped = 0, deep_shares = 0;
+        const auto paged =
+            runSchedule(lm, s.cfg, s.subs, &pm, &stopped, &deep_shares);
         const auto ref = referenceStreams(lm, s.cfg.cacheFormat, s.subs);
         EXPECT_EQ(paged, ref);
         shared_rows_total += pm.sharedPrefillRowsSkipped;
         stopped_total += stopped;
+        deep_shares_total += deep_shares;
         capped_pools += s.cfg.poolBlocks > 0 ? 1u : 0u;
         // Copy-on-write is the only payload copier; without sharing
         // nothing may ever be copied.
@@ -255,6 +282,8 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
     EXPECT_GT(shared_rows_total, 0u) << "no schedule shared a prefix";
     EXPECT_GT(stopped_total, 0u) << "no schedule hit a stop token";
     EXPECT_GT(capped_pools, 20u) << "too few capacity-capped schedules";
+    EXPECT_GT(deep_shares_total, 0u)
+        << "no copy-on-write copied more than one row";
 }
 
 // After every step, every active cache must hold bit-identical K/V
@@ -267,7 +296,7 @@ TEST(PagedFuzz, ChurnSchedulesMatchReferenceOracle)
 TEST(PagedFuzz, LockstepCacheContentsBitIdentical)
 {
     const eval::LmModel lm = fuzzLm(990);
-    u64 shared_rows_total = 0;
+    u64 shared_rows_total = 0, deep_shares_total = 0;
     for (u64 seed = 1; seed <= 15; ++seed) {
         Rng rng(seed * 104729);
         const Schedule s =
@@ -335,8 +364,11 @@ TEST(PagedFuzz, LockstepCacheContentsBitIdentical)
             out[f.id] = f.generated;
         EXPECT_EQ(out, referenceStreams(lm, s.cfg.cacheFormat, s.subs));
         shared_rows_total += eng.metrics().sharedPrefillRowsSkipped;
+        deep_shares_total += deepShares(eng.finished(), s.cfg.blockRows);
     }
     EXPECT_GT(shared_rows_total, 0u) << "no schedule shared a prefix";
+    EXPECT_GT(deep_shares_total, 0u)
+        << "no copy-on-write copied more than one row";
 }
 
 // Prefix sharing must be invisible in the token streams: the same
