@@ -2,7 +2,8 @@
  * @file
  * Before/after microbenchmarks of the software hot paths this repo
  * optimizes: normal-codec encode, OVP stream encode/decode, the fused
- * fakeQuant round trip, quantizer calibration, the tiled GEMM kernels,
+ * fakeQuant round trip, quantizer calibration (a 16384-element tensor
+ * and d = 128 KV rows at 4 and 8 bits), the tiled GEMM kernels,
  * and linearForward at the eval-dims weight shapes with one A row (the
  * decode projections' one-row dot loop) and with 32 (a prefill chunk
  * through the staged tile).  Every kernel runs its retained
@@ -130,11 +131,14 @@ sameFloats(const std::vector<float> &a, const std::vector<float> &b)
            std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+/** Bitwise decision comparison (type, then scale/threshold/MSE bits). */
 bool
 sameDecision(const QuantDecision &a, const QuantDecision &b)
 {
-    return a.normal == b.normal && a.scale == b.scale &&
-           a.threshold == b.threshold && a.mse == b.mse;
+    return a.normal == b.normal &&
+           std::memcmp(&a.scale, &b.scale, sizeof(float)) == 0 &&
+           std::memcmp(&a.threshold, &b.threshold, sizeof(double)) == 0 &&
+           std::memcmp(&a.mse, &b.mse, sizeof(double)) == 0;
 }
 
 } // namespace
@@ -230,6 +234,42 @@ main(int argc, char **argv)
             secondsOf(reps, [&] { fast_d = quantizer.calibrate(calib_xs); });
         r.identical = sameDecision(ref_d, fast_d);
         rows.push_back(r);
+    }
+
+    // --- per-row KV calibration ----------------------------------------
+    // What the OVP KV cache runs for every appended K and V row: one
+    // calibration of a d = 128 row (the eval-dims d_model), at both
+    // cache widths.  Timed over a batch of distinct heavy-tailed rows so
+    // no single row's visit pattern is measured alone.
+    {
+        const size_t kv_d = 128;
+        const size_t kv_rows = smoke::count(256, 16);
+        const std::vector<float> kv_xs = benchData(kv_d * kv_rows);
+        for (const int bits : {4, 8}) {
+            OliveConfig kv_config;
+            kv_config.bits = bits;
+            const OliveQuantizer kv_quantizer(kv_config);
+            KernelRow r{"calibrate kv-row olive" + std::to_string(bits),
+                        static_cast<double>(kv_rows), "row/s"};
+            std::vector<QuantDecision> ref_d(kv_rows), fast_d(kv_rows);
+            const auto row = [&](size_t i) {
+                return std::span<const float>(kv_xs).subspan(i * kv_d, kv_d);
+            };
+            r.refSec = secondsOf(reps, [&] {
+                for (size_t i = 0; i < kv_rows; ++i)
+                    ref_d[i] = kv_quantizer.calibrateReference(row(i));
+            });
+            r.fastSec = secondsOf(reps, [&] {
+                for (size_t i = 0; i < kv_rows; ++i)
+                    fast_d[i] = kv_quantizer.calibrate(row(i));
+            });
+            r.identical = true;
+            for (size_t i = 0; i < kv_rows; ++i) {
+                r.identical =
+                    r.identical && sameDecision(ref_d[i], fast_d[i]);
+            }
+            rows.push_back(r);
+        }
     }
 
     // --- GEMM ----------------------------------------------------------

@@ -9,9 +9,6 @@ namespace olive {
 
 namespace {
 
-/** flint4 magnitude table: 3 magnitude bits -> value (paper Table 3). */
-constexpr int kFlintMag[8] = {0, 1, 2, 3, 4, 6, 8, 16};
-
 /** flint4 magnitude -> exponent-integer split used by the decoder. */
 constexpr struct { u8 exp; i32 integer; } kFlintExpInt[8] = {
     {0, 0}, {0, 1}, {1, 1}, {0, 3}, {2, 1}, {1, 3}, {3, 1}, {4, 1},
@@ -33,32 +30,6 @@ toString(NormalType t)
     OLIVE_PANIC("unknown NormalType");
 }
 
-int
-bitWidth(NormalType t)
-{
-    return t == NormalType::Int8 ? 8 : 4;
-}
-
-u32
-outlierIdentifier(NormalType t)
-{
-    return t == NormalType::Int8 ? 0x80u : 0x8u;
-}
-
-int
-maxNormalMagnitude(NormalType t)
-{
-    switch (t) {
-      case NormalType::Int4:
-        return 7;
-      case NormalType::Flint4:
-        return 16;
-      case NormalType::Int8:
-        return 127;
-    }
-    OLIVE_PANIC("unknown NormalType");
-}
-
 std::vector<int>
 valueTable(NormalType t)
 {
@@ -70,9 +41,9 @@ valueTable(NormalType t)
         break;
       case NormalType::Flint4:
         for (int i = 7; i >= 1; --i)
-            vals.push_back(-kFlintMag[i]);
+            vals.push_back(-kFlint4Magnitudes[i]);
         for (int i = 0; i <= 7; ++i)
-            vals.push_back(kFlintMag[i]);
+            vals.push_back(kFlint4Magnitudes[i]);
         break;
       case NormalType::Int8:
         for (int v = -127; v <= 127; ++v)
@@ -110,8 +81,7 @@ NormalCodec::shared(NormalType type)
 NormalCodec::NormalCodec(Build, NormalType type)
     : type_(type),
       identifier_(outlierIdentifier(type)),
-      codeMask_((1u << bitWidth(type)) - 1u),
-      maxMag_(maxNormalMagnitude(type))
+      codeMask_((1u << bitWidth(type)) - 1u)
 {
     values_ = valueTable(type);
     codes_.reserve(values_.size());
@@ -128,7 +98,7 @@ NormalCodec::NormalCodec(Build, NormalType type)
             const int mag = std::abs(v);
             u32 mag_code = 0;
             for (u32 i = 0; i < 8; ++i) {
-                if (kFlintMag[i] == mag) {
+                if (kFlint4Magnitudes[i] == mag) {
                     mag_code = i;
                     break;
                 }
@@ -149,17 +119,24 @@ NormalCodec::NormalCodec(Build, NormalType type)
         expIntLut_[code] = decodeExpIntReference(code);
     }
 
-    // Encode boundary table.  All representable values are small
-    // integers, so every midpoint (v_i + v_{i+1}) / 2 is an exact
-    // double, and encodeReference's nearest-value comparison
-    // (x - lo <= hi - x, both differences exact for bracketed x)
-    // reduces to exactly "x <= midpoint": ties at a midpoint choose the
-    // lower value.  The chosen index is therefore the number of
-    // midpoints strictly below x.
-    boundaries_.reserve(values_.size() - 1);
-    for (size_t i = 0; i + 1 < values_.size(); ++i) {
-        boundaries_.push_back(
-            (static_cast<double>(values_[i]) + values_[i + 1]) / 2.0);
+    // Encode midpoints.  All representable values are small integers,
+    // so every midpoint (v_i + v_{i+1}) / 2 is an exact double, and
+    // encodeReference's nearest-value comparison (x - lo <= hi - x,
+    // both differences exact for bracketed x) reduces to exactly
+    // "x <= midpoint": ties at a midpoint choose the lower value, and
+    // the chosen index is the number of midpoints strictly below x.
+    // nearestIndex() counts flint4's fixed kFlint4Midpoints (through
+    // kFlint4IndexByCeil2x); re-derive them here so the constant cannot
+    // drift from the value table.
+    if (type_ == NormalType::Flint4) {
+        OLIVE_ASSERT(values_.size() == kFlint4Midpoints.size() + 1,
+                     "flint4 value table size");
+        for (size_t i = 0; i + 1 < values_.size(); ++i) {
+            OLIVE_ASSERT((static_cast<double>(values_[i]) + values_[i + 1]) /
+                                 2.0 ==
+                             kFlint4Midpoints[i],
+                         "flint4 midpoint table drifted");
+        }
     }
 }
 
@@ -193,7 +170,7 @@ NormalCodec::decodeIntReference(u32 code) const
       case NormalType::Int8:
         return bits::signExtend(code, 8);
       case NormalType::Flint4: {
-        const int mag = kFlintMag[code & 0x7u];
+        const int mag = kFlint4Magnitudes[code & 0x7u];
         return (code & 0x8u) ? -mag : mag;
       }
     }

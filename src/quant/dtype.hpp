@@ -17,7 +17,8 @@
  *
  * Every code space is at most 256 entries, so the codec precomputes
  * decode lookup tables (code -> grid integer, code -> exponent-integer
- * pair) and encode midpoint boundary tables at construction.  The
+ * pair) at construction and encodes by counting midpoints (flint4) or
+ * by closed-form rounding (the uniform integer grids).  The
  * original search-based implementations are retained as *Reference()
  * oracles; the fast paths are bit-identical to them (asserted
  * exhaustively by tests/test_kernels_oracle.cpp).
@@ -26,8 +27,10 @@
 #ifndef OLIVE_QUANT_DTYPE_HPP
 #define OLIVE_QUANT_DTYPE_HPP
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,16 +51,66 @@ enum class NormalType
 std::string toString(NormalType t);
 
 /** Bit width of a normal type (4 or 8). */
-int bitWidth(NormalType t);
+constexpr int
+bitWidth(NormalType t)
+{
+    return t == NormalType::Int8 ? 8 : 4;
+}
 
 /** The reserved outlier-identifier code (1000_2 or 10000000_2). */
-u32 outlierIdentifier(NormalType t);
+constexpr u32
+outlierIdentifier(NormalType t)
+{
+    return t == NormalType::Int8 ? 0x80u : 0x8u;
+}
 
 /**
  * Largest representable magnitude of the narrowed type in integer grid
  * units (7 for int4, 16 for flint4, 127 for int8).
  */
-int maxNormalMagnitude(NormalType t);
+constexpr int
+maxNormalMagnitude(NormalType t)
+{
+    return t == NormalType::Int4 ? 7 : t == NormalType::Flint4 ? 16 : 127;
+}
+
+/** flint4 magnitude table: 3 magnitude bits -> value (paper Table 3). */
+inline constexpr int kFlint4Magnitudes[8] = {0, 1, 2, 3, 4, 6, 8, 16};
+
+/**
+ * flint4's encode midpoints: the 14 half-way points between its 15
+ * ascending values {-16, -8, -6, -4, -3, -2, -1, 0, 1, ..., 16}, each
+ * an exact double (the NormalCodec constructor checks them against its
+ * value table).
+ */
+inline constexpr std::array<double, 14> kFlint4Midpoints = [] {
+    std::array<double, 14> mids{};
+    for (size_t i = 0; i < 7; ++i) {
+        const double m =
+            (kFlint4Magnitudes[i] + kFlint4Magnitudes[i + 1]) / 2.0;
+        mids[6 - i] = -m;
+        mids[7 + i] = m;
+    }
+    return mids;
+}();
+
+/**
+ * The count of kFlint4Midpoints strictly below x, tabulated by the
+ * integer k = ceil(2x) clamped to [-26, 26] (entry k + 26).  Every
+ * midpoint m is a multiple of 0.5, so 2m is an integer and
+ * x > m <=> 2x > 2m <=> ceil(2x) > 2m: the count depends on x only
+ * through ceil(2x).
+ */
+inline constexpr std::array<u8, 53> kFlint4IndexByCeil2x = [] {
+    std::array<u8, 53> table{};
+    for (int k = -26; k <= 26; ++k) {
+        int below = 0;
+        for (const double m : kFlint4Midpoints)
+            below += (2.0 * m < k) ? 1 : 0;
+        table[static_cast<size_t>(k + 26)] = static_cast<u8>(below);
+    }
+    return table;
+}();
 
 /** All representable values of the narrowed type, ascending. */
 std::vector<int> valueTable(NormalType t);
@@ -74,59 +127,75 @@ class NormalCodec
     /**
      * Shared immutable codec for @p type.  The three instances are
      * built once per process (thread-safe magic statics); the public
-     * constructor copies from them, so constructing a NormalCodec is a
-     * flat table copy rather than a rebuild — the OVP calibration grid
-     * constructs one codec per threshold candidate per KV row, which
-     * made the rebuild a serving hot path.
+     * constructor copies from them, and every OvpEncoder refers to
+     * them, so the calibration search (one encoder per threshold
+     * candidate per KV row) never builds or copies a table.
      */
     static const NormalCodec &shared(NormalType type);
 
     NormalType type() const { return type_; }
 
     /**
+     * Index, into the ascending value table, of the representable value
+     * nearest to grid position @p x (= real / scale).  Ties at a
+     * midpoint choose the lower value, out-of-range positions saturate
+     * and NaN selects the first value, exactly as encodeReference()
+     * does.  The type is a template argument so per-type loops (the
+     * calibration scorer) carry no type dispatch, and the body has no
+     * data-dependent branch.
+     *
+     * The index is the number of midpoints between adjacent values
+     * strictly below x.  For flint4 that count over its 14 fixed
+     * midpoints is read from kFlint4IndexByCeil2x; clamping x to
+     * +-13 first keeps every comparison (all midpoints lie within
+     * +-12) and sends NaN to the first entry.  The uniform integer
+     * grids use the closed form ceil(c - 0.5) + M for x clamped to
+     * c in [-M, M] (NaN to -M): c - 0.5 is exact, so the rounding
+     * (ties toward the lower value) matches the midpoint rule
+     * bit-for-bit, and the clamped ends round to -M and M.
+     */
+    template <NormalType T>
+    static size_t nearestIndex(double x)
+    {
+        if constexpr (T == NormalType::Flint4) {
+            const double c = std::min(13.0, std::max(-13.0, x));
+            return kFlint4IndexByCeil2x[static_cast<size_t>(
+                ceilToInt(c + c) + 26)];
+        } else {
+            constexpr double max_mag = maxNormalMagnitude(T);
+            const double c = std::min(max_mag, std::max(-max_mag, x));
+            return static_cast<size_t>(ceilToInt(c - 0.5) +
+                                       static_cast<int>(max_mag));
+        }
+    }
+
+    /**
      * Quantize @p real under @p scale to the nearest representable
      * value, never producing the identifier code.  Values beyond the
-     * range saturate.
-     *
-     * Fast path: the integer types round arithmetically on their
-     * uniform grid; flint4 counts precomputed midpoint boundaries
-     * branchlessly.  Bit-identical to encodeReference().  Defined
+     * range saturate.  Bit-identical to encodeReference(); defined
      * inline so the per-pair OVP loops can inline the per-scalar call.
-     * @pre scale > 0 (validated once by the owning OvpCodec, not per
+     * @pre scale > 0 (validated once by the owning OvpEncoder, not per
      *      call; encodeReference() keeps the per-call assert)
      */
     u32 encode(float real, float scale) const
     {
         const double x = static_cast<double>(real) / scale;
-        size_t idx;
-        if (type_ == NormalType::Flint4) {
-            // Branchless boundary count over the 14 midpoints;
-            // saturation falls out (x below all -> 0, above all ->
-            // last).
-            size_t n_above = 0;
-            for (double b : boundaries_)
-                n_above += (x > b) ? 1u : 0u;
-            idx = n_above;
-        } else {
-            // Uniform grid [-M, M]: the boundary count is the closed
-            // form ceil(x - 0.5) clamped to the range.  x - 0.5 is
-            // exact for |x| < 2^51, so the rounding (ties toward the
-            // lower value) matches the boundary rule bit-for-bit.
-            const int max_mag = maxMag_;
-            int v;
-            if (!(x > -static_cast<double>(max_mag))) {
-                // Includes NaN, which lower_bound also sends to the
-                // first value in the reference path.
-                v = -max_mag;
-            } else if (x >= static_cast<double>(max_mag)) {
-                v = max_mag;
-            } else {
-                v = static_cast<int>(std::ceil(x - 0.5));
-            }
-            idx = static_cast<size_t>(v + max_mag);
+        switch (type_) {
+          case NormalType::Int4:
+            return codes_[nearestIndex<NormalType::Int4>(x)];
+          case NormalType::Flint4:
+            return codes_[nearestIndex<NormalType::Flint4>(x)];
+          case NormalType::Int8:
+            return codes_[nearestIndex<NormalType::Int8>(x)];
         }
-        return codes_[idx];
+        OLIVE_PANIC("unknown NormalType");
     }
+
+    /** Representable values, ascending (nearestIndex() indexes them). */
+    std::span<const int> values() const { return values_; }
+
+    /** Code of each entry of values(). */
+    std::span<const u32> codes() const { return codes_; }
 
     /**
      * The original binary-search nearest-value encoder, retained as the
@@ -168,6 +237,18 @@ class NormalCodec
     bool isIdentifier(u32 code) const { return code == identifier_; }
 
   private:
+    /**
+     * ceil(y) as an int for |y| < 2^31, without a libm call or a
+     * branch: truncation rounds toward zero, so it is ceil(y) for
+     * y <= 0 and floor(y) for y > 0, one short of ceil(y) exactly when
+     * the truncated value is below y.
+     */
+    static int ceilToInt(double y)
+    {
+        const int t = static_cast<int>(y);
+        return t + (static_cast<double>(t) < y ? 1 : 0);
+    }
+
     /** Tag selecting the real table-building constructor. */
     struct Build
     {
@@ -177,7 +258,6 @@ class NormalCodec
     NormalType type_;
     u32 identifier_;
     u32 codeMask_;              // (1 << bitWidth) - 1
-    int maxMag_;                // maxNormalMagnitude(type_)
     std::vector<int> values_;   // ascending representable values
     std::vector<u32> codes_;    // code for values_[i]
 
@@ -185,14 +265,6 @@ class NormalCodec
     // are guarded by the asserts above).
     std::array<int, 256> intLut_{};
     std::array<ExpInt, 256> expIntLut_{};
-
-    // Encode boundary table: boundaries_[i] is the midpoint between
-    // values_[i] and values_[i+1]; the chosen index is the number of
-    // boundaries strictly below the scaled input (ties at a midpoint go
-    // to the lower value, matching encodeReference's comparison).  Only
-    // flint4 walks the table; the uniform integer grids use the
-    // closed-form equivalent in encode().
-    std::vector<double> boundaries_;
 };
 
 } // namespace olive

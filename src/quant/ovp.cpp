@@ -1,14 +1,14 @@
 #include "ovp.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "util/bitops.hpp"
 #include "util/parallel.hpp"
 #include "util/stats.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace {
 
@@ -112,58 +112,21 @@ pairCensus(std::span<const float> xs, double k_sigma)
     return c;
 }
 
-namespace {
-
-/**
- * Scale-independent outlier-side tables of one abfloat format: the
- * decoded value of every code and the encode boundary/code tables with
- * their bit-exact verification against AbFloat::encode.  Building them
- * is the expensive part of OvpCodec construction (hundreds of abfloat
- * encodes for E4M3), and the OVP calibration grid constructs one codec
- * per threshold candidate per KV row — so the tables are cached per
- * (normal type, bias) key and the constructor only applies the scale.
- *
- * The cache is thread_local, mirroring the decode-codec cache in
- * kv_cache.cpp: codec construction runs concurrently inside the
- * calibration grid's parallelFor, a per-thread map needs no locks, and
- * every thread builds the identical tables from the identical key.  The
- * key space is tiny (3 normal types x biases in [0, 40]), so no
- * eviction is needed.
- */
-struct OutlierTables
+OutlierTables::OutlierTables(NormalType normal, const AbFloat &abfloat)
 {
-    u32 sign = 0;                    //!< Sign bit of the code space.
-    std::array<double, 256> decoded{}; //!< abfloat_.decode(code).
-    std::vector<double> bounds;      //!< Magnitude midpoints.
-    std::vector<u32> codes;          //!< Code per magnitude interval.
-};
-
-const OutlierTables &
-outlierTablesFor(NormalType normal, const AbFloat &abfloat)
-{
-    thread_local std::unordered_map<u32, std::unique_ptr<OutlierTables>>
-        cache;
-    const u32 key = (static_cast<u32>(normal) << 8) |
-                    static_cast<u32>(abfloat.bias());
-    auto it = cache.find(key);
-    if (it != cache.end())
-        return *it->second;
-
-    auto tabs = std::make_unique<OutlierTables>();
     const u32 identifier = outlierIdentifier(normal);
     const u32 n_codes = 1u << bitWidth(normal);
     for (u32 code = 0; code < n_codes; ++code)
-        tabs->decoded[code] = abfloat.decode(code);
+        decoded_[code] = abfloat.decode(code);
 
-    // Outlier encode boundary table.  AbFloat::encode is a monotone
-    // step function of the magnitude (round-to-nearest on the abfloat
-    // grid, saturating at both ends); its switch points are the
-    // midpoints between consecutive distinct representable magnitudes,
-    // with ties rounding away from zero (llround).  All magnitudes are
-    // integers times powers of two, so every midpoint is an exact
-    // double and the step positions are verified exactly below.
-    tabs->sign =
-        1u << (static_cast<u32>(abfloat.expBits() + abfloat.mantBits()));
+    // AbFloat::encode is a monotone step function of the magnitude
+    // (round-to-nearest on the abfloat grid, saturating at both ends);
+    // its switch points are the midpoints between consecutive distinct
+    // representable magnitudes, with ties rounding away from zero
+    // (llround).  All magnitudes are integers times powers of two, so
+    // every midpoint is an exact double and the step positions are
+    // verified exactly below.
+    sign_ = 1u << (static_cast<u32>(abfloat.expBits() + abfloat.mantBits()));
     const std::vector<i64> mags = abfloat.unsignedValueTable();
     // mags is ascending and deduplicated; drop the leading zero (the
     // all-zeros code is never produced for outliers).
@@ -173,78 +136,92 @@ outlierTablesFor(NormalType normal, const AbFloat &abfloat)
             vals.push_back(static_cast<double>(v));
     }
     OLIVE_ASSERT(!vals.empty(), "empty abfloat magnitude table");
-    tabs->codes.reserve(vals.size());
+    codes_.reserve(vals.size());
     for (double v : vals)
-        tabs->codes.push_back(abfloat.encode(v));
-    tabs->bounds.reserve(vals.size() - 1);
+        codes_.push_back(abfloat.encode(v));
+    bounds_.reserve(vals.size() - 1);
     for (size_t i = 0; i + 1 < vals.size(); ++i) {
         const double mid = (vals[i] + vals[i + 1]) / 2.0;
-        tabs->bounds.push_back(mid);
+        bounds_.push_back(mid);
         // Verify the step position bit-exactly: at the midpoint the
         // reference rounds up (away from zero); just below it rounds
         // down.
-        OLIVE_ASSERT(abfloat.encode(mid) == tabs->codes[i + 1],
+        OLIVE_ASSERT(abfloat.encode(mid) == codes_[i + 1],
                      "abfloat midpoint must round up");
-        OLIVE_ASSERT(abfloat.encode(std::nextafter(mid, 0.0)) ==
-                         tabs->codes[i],
+        OLIVE_ASSERT(abfloat.encode(std::nextafter(mid, 0.0)) == codes_[i],
                      "abfloat below-midpoint must round down");
     }
     // Below-range magnitudes saturate up to the smallest nonzero code
     // and the codes can never collide with the identifier.
-    OLIVE_ASSERT(abfloat.encode(vals.front() / 4.0) == tabs->codes[0],
+    OLIVE_ASSERT(abfloat.encode(vals.front() / 4.0) == codes_[0],
                  "abfloat below-range must saturate to the minimum");
-    for (u32 code : tabs->codes) {
-        OLIVE_ASSERT(code != identifier && (code | tabs->sign) != identifier,
+    for (u32 code : codes_) {
+        OLIVE_ASSERT(code != identifier && (code | sign_) != identifier,
                      "outlier code must not be the identifier");
     }
-    return *cache.emplace(key, std::move(tabs)).first->second;
 }
 
-} // namespace
+const OutlierTables &
+OutlierTables::shared(NormalType normal, int bias)
+{
+    // One slot per (normal type, bias); AbFloat accepts biases 0..40.
+    // A slot is built on first use under the lock and never changes or
+    // dies afterwards, so readers need only the acquire load.
+    constexpr int kBiases = 41;
+    constexpr size_t kSlots = 3 * kBiases;
+    static std::array<std::atomic<const OutlierTables *>, kSlots> slots{};
+    static Mutex build_mu;
+    OLIVE_ASSERT(bias >= 0 && bias < kBiases, "bias out of sane range");
+    std::atomic<const OutlierTables *> &slot =
+        slots[static_cast<size_t>(normal) * kBiases +
+              static_cast<size_t>(bias)];
+    if (const OutlierTables *t = slot.load(std::memory_order_acquire))
+        return *t;
+    const MutexLock lock(build_mu);
+    const OutlierTables *t = slot.load(std::memory_order_relaxed);
+    if (t == nullptr) {
+        t = new OutlierTables(normal, outlierTypeFor(normal, bias));
+        slot.store(t, std::memory_order_release);
+    }
+    return *t;
+}
 
-OvpCodec::OvpCodec(NormalType normal, float scale, double threshold,
-                   int abfloat_bias)
+u32
+OutlierTables::encode(double grid) const
+{
+    const double mag = std::fabs(grid);
+    size_t idx;
+    if (bounds_.size() <= 16) {
+        size_t n_above = 0;
+        for (double b : bounds_)
+            n_above += (mag >= b) ? 1u : 0u;
+        idx = n_above;
+    } else {
+        idx = static_cast<size_t>(
+            std::upper_bound(bounds_.begin(), bounds_.end(), mag) -
+            bounds_.begin());
+    }
+    const u32 code = codes_[idx];
+    return (grid < 0.0) ? (code | sign_) : code;
+}
+
+OvpEncoder::OvpEncoder(NormalType normal, float scale, double threshold,
+                       int abfloat_bias)
     : normal_(normal),
-      codec_(NormalCodec::shared(normal)),
+      codec_(&NormalCodec::shared(normal)),
       abfloat_(outlierTypeFor(normal, abfloat_bias)),
+      tables_(&OutlierTables::shared(normal, abfloat_.bias())),
       scale_(scale),
       threshold_(threshold),
       identifier_(outlierIdentifier(normal))
 {
     OLIVE_ASSERT(scale_ > 0.0f, "OVP scale must be positive");
     OLIVE_ASSERT(threshold_ > 0.0, "OVP threshold must be positive");
-
-    const OutlierTables &tabs = outlierTablesFor(normal_, abfloat_);
-    // Decoded real value of every code under the fixed scale, using
-    // exactly the reference decode expressions so LUT lookups are
-    // bit-identical to decodePairReference.
-    const u32 n_codes = 1u << bitWidth(normal_);
-    for (u32 code = 0; code < n_codes; ++code) {
-        if (code != identifier_)
-            normalValue_[code] = codec_.decode(code, scale_);
-        outlierValue_[code] =
-            static_cast<float>(tabs.decoded[code]) * scale_;
-    }
-    outlierSign_ = tabs.sign;
-    outlierBounds_ = tabs.bounds;
-    outlierCodes_ = tabs.codes;
-}
-
-size_t
-OvpCodec::bytesPerPair() const
-{
-    return bytesPerPair(normal_);
-}
-
-size_t
-OvpCodec::bytesPerPair(NormalType t)
-{
-    return bitWidth(t) == 4 ? 1 : 2;
 }
 
 template <bool kReference>
 u32
-OvpCodec::quantizeOutlierImpl(float val) const
+OvpEncoder::quantizeOutlier(float val) const
 {
     // Outliers quantize on the same integer grid as normals; the
     // accumulator-overflow rule of Sec. 4.5 clips the grid magnitude to
@@ -261,43 +238,17 @@ OvpCodec::quantizeOutlierImpl(float val) const
                      "outlier code must not be the identifier");
         return code;
     } else {
-        // Boundary count instead of Algorithm 2's log2/round sequence;
-        // the table construction verified the step positions against
-        // the reference encoder, and the codes were screened against
-        // the identifier once at construction.
-        const double mag = std::fabs(grid);
-        size_t idx;
-        if (outlierBounds_.size() <= 16) {
-            size_t n_above = 0;
-            for (double b : outlierBounds_)
-                n_above += (mag >= b) ? 1u : 0u;
-            idx = n_above;
-        } else {
-            idx = static_cast<size_t>(
-                std::upper_bound(outlierBounds_.begin(),
-                                 outlierBounds_.end(), mag) -
-                outlierBounds_.begin());
-        }
-        const u32 code = outlierCodes_[idx];
-        return (grid < 0.0) ? (code | outlierSign_) : code;
+        // The table's step positions were verified against the
+        // reference encoder and its codes screened against the
+        // identifier when it was built.
+        return tables_->encode(grid);
     }
-}
-
-u32
-OvpCodec::quantizeOutlier(float val) const
-{
-    return quantizeOutlierImpl<false>(val);
-}
-
-u32
-OvpCodec::quantizeOutlierReference(float val) const
-{
-    return quantizeOutlierImpl<true>(val);
 }
 
 template <bool kReference>
 PairRole
-OvpCodec::encodePairImpl(float val1, float val2, u32 &out1, u32 &out2) const
+OvpEncoder::encodePairImpl(float val1, float val2, u32 &out1,
+                           u32 &out2) const
 {
     const double a1 = std::fabs(val1);
     const double a2 = std::fabs(val2);
@@ -306,7 +257,7 @@ OvpCodec::encodePairImpl(float val1, float val2, u32 &out1, u32 &out2) const
 
     if (o1 && a1 >= a2) {
         // Left outlier: the right value is sacrificed as the victim.
-        out1 = quantizeOutlierImpl<kReference>(val1);
+        out1 = quantizeOutlier<kReference>(val1);
         out2 = identifier_;
         return o2 ? PairRole::PrunedOutlier : PairRole::OutlierVictim;
     }
@@ -314,41 +265,163 @@ OvpCodec::encodePairImpl(float val1, float val2, u32 &out1, u32 &out2) const
         // Right outlier: the left value is the victim.  If the left
         // value was itself an outlier (o1, but smaller), it is pruned.
         out1 = identifier_;
-        out2 = quantizeOutlierImpl<kReference>(val2);
+        out2 = quantizeOutlier<kReference>(val2);
         return o1 ? PairRole::PrunedOutlier : PairRole::OutlierVictim;
     }
     if constexpr (kReference) {
-        out1 = codec_.encodeReference(val1, scale_);
-        out2 = codec_.encodeReference(val2, scale_);
+        out1 = codec_->encodeReference(val1, scale_);
+        out2 = codec_->encodeReference(val2, scale_);
     } else {
-        out1 = codec_.encode(val1, scale_);
-        out2 = codec_.encode(val2, scale_);
+        out1 = codec_->encode(val1, scale_);
+        out2 = codec_->encode(val2, scale_);
     }
     return PairRole::NormalNormal;
 }
 
 PairRole
-OvpCodec::encodePair(float val1, float val2, u32 &out1, u32 &out2) const
+OvpEncoder::encodePair(float val1, float val2, u32 &out1, u32 &out2) const
 {
     return encodePairImpl<false>(val1, val2, out1, out2);
 }
 
 PairRole
-OvpCodec::encodePairReference(float val1, float val2, u32 &out1,
-                              u32 &out2) const
+OvpEncoder::encodePairReference(float val1, float val2, u32 &out1,
+                                u32 &out2) const
 {
     return encodePairImpl<true>(val1, val2, out1, out2);
+}
+
+template <NormalType T>
+double
+OvpEncoder::squaredErrorFor(std::span<const float> xs, double limit,
+                            u8 *packed) const
+{
+    // Copied to locals: stores through the u8 output may alias any
+    // object, which would force member reloads after every write.
+    const std::span<const int> values = codec_->values();
+    const std::span<const u32> codes = codec_->codes();
+    const double scale = scale_;
+    const float fscale = scale_;
+    const double threshold = threshold_;
+    const u32 identifier = identifier_;
+
+    // One pair: codes and decoded values exactly as encodePair +
+    // OvpCodec::decodePair produce them (the LUT entries are the same
+    // float(value) * scale and float(decoded) * scale expressions).
+    const auto roundTrip = [&](float v1, float v2, u32 &c1, u32 &c2,
+                               float &q1, float &q2) {
+        if (std::fabs(v1) > threshold || std::fabs(v2) > threshold)
+            [[unlikely]] {
+            encodePair(v1, v2, c1, c2);
+            q1 = c1 == identifier ? 0.0f : outlierValue(c1);
+            q2 = c2 == identifier ? 0.0f : outlierValue(c2);
+            return;
+        }
+        const size_t i1 =
+            NormalCodec::nearestIndex<T>(static_cast<double>(v1) / scale);
+        const size_t i2 =
+            NormalCodec::nearestIndex<T>(static_cast<double>(v2) / scale);
+        c1 = codes[i1];
+        c2 = codes[i2];
+        q1 = static_cast<float>(values[i1]) * fscale;
+        q2 = static_cast<float>(values[i2]) * fscale;
+    };
+    const auto store = [&](size_t p, u32 c1, u32 c2) {
+        if constexpr (T == NormalType::Int8) {
+            packed[2 * p] = static_cast<u8>(c1);
+            packed[2 * p + 1] = static_cast<u8>(c2);
+        } else {
+            packed[p] = bits::packNibbles(static_cast<u8>(c2),
+                                          static_cast<u8>(c1));
+        }
+    };
+
+    const size_t n = xs.size();
+    const size_t full_pairs = n / 2;
+    double acc = 0.0;
+    for (size_t p = 0; p < full_pairs; ++p) {
+        const float v1 = xs[2 * p];
+        const float v2 = xs[2 * p + 1];
+        u32 c1, c2;
+        float q1, q2;
+        roundTrip(v1, v2, c1, c2, q1, q2);
+        if (packed)
+            store(p, c1, c2);
+        const double d1 = static_cast<double>(v1) - q1;
+        acc += d1 * d1;
+        const double d2 = static_cast<double>(v2) - q2;
+        acc += d2 * d2;
+        if (acc > limit)
+            return acc;
+    }
+    if (n % 2 != 0) {
+        // The trailing lone value pairs with a zero pad that is encoded
+        // but, like stats::mse over the n real elements, not scored.
+        const float v1 = xs[n - 1];
+        u32 c1, c2;
+        float q1, q2;
+        roundTrip(v1, 0.0f, c1, c2, q1, q2);
+        if (packed)
+            store(full_pairs, c1, c2);
+        const double d1 = static_cast<double>(v1) - q1;
+        acc += d1 * d1;
+    }
+    return acc;
+}
+
+double
+OvpEncoder::squaredError(std::span<const float> xs, double limit,
+                         u8 *packed) const
+{
+    switch (normal_) {
+      case NormalType::Int4:
+        return squaredErrorFor<NormalType::Int4>(xs, limit, packed);
+      case NormalType::Flint4:
+        return squaredErrorFor<NormalType::Flint4>(xs, limit, packed);
+      case NormalType::Int8:
+        return squaredErrorFor<NormalType::Int8>(xs, limit, packed);
+    }
+    OLIVE_PANIC("unknown NormalType");
+}
+
+OvpCodec::OvpCodec(NormalType normal, float scale, double threshold,
+                   int abfloat_bias)
+    : enc_(normal, scale, threshold, abfloat_bias)
+{
+    // Decoded real value of every code under the fixed scale, using
+    // exactly the reference decode expressions so LUT lookups are
+    // bit-identical to decodePairReference.
+    const NormalCodec &normal_codec = NormalCodec::shared(normal);
+    const u32 n_codes = 1u << bitWidth(normal);
+    for (u32 code = 0; code < n_codes; ++code) {
+        if (code != enc_.identifier())
+            normalValue_[code] = normal_codec.decode(code, scale);
+        outlierValue_[code] = enc_.outlierValue(code);
+    }
+}
+
+size_t
+OvpCodec::bytesPerPair() const
+{
+    return bytesPerPair(normalType());
+}
+
+size_t
+OvpCodec::bytesPerPair(NormalType t)
+{
+    return bitWidth(t) == 4 ? 1 : 2;
 }
 
 void
 OvpCodec::decodePair(u32 in1, u32 in2, float &val1, float &val2) const
 {
-    OLIVE_ASSERT(!(in1 == identifier_ && in2 == identifier_),
+    const u32 identifier = enc_.identifier();
+    OLIVE_ASSERT(!(in1 == identifier && in2 == identifier),
                  "both slots cannot hold the identifier");
-    if (in1 == identifier_) {
+    if (in1 == identifier) {
         val1 = 0.0f;
         val2 = outlierValue_[in2];
-    } else if (in2 == identifier_) {
+    } else if (in2 == identifier) {
         val1 = outlierValue_[in1];
         val2 = 0.0f;
     } else {
@@ -361,17 +434,21 @@ void
 OvpCodec::decodePairReference(u32 in1, u32 in2, float &val1,
                               float &val2) const
 {
-    OLIVE_ASSERT(!(in1 == identifier_ && in2 == identifier_),
+    const u32 identifier = enc_.identifier();
+    OLIVE_ASSERT(!(in1 == identifier && in2 == identifier),
                  "both slots cannot hold the identifier");
-    if (in1 == identifier_) {
+    const float scale = enc_.scale();
+    const AbFloat &abfloat = enc_.outlierType();
+    const NormalCodec &normal_codec = NormalCodec::shared(normalType());
+    if (in1 == identifier) {
         val1 = 0.0f;
-        val2 = static_cast<float>(abfloat_.decode(in2)) * scale_;
-    } else if (in2 == identifier_) {
-        val1 = static_cast<float>(abfloat_.decode(in1)) * scale_;
+        val2 = static_cast<float>(abfloat.decode(in2)) * scale;
+    } else if (in2 == identifier) {
+        val1 = static_cast<float>(abfloat.decode(in1)) * scale;
         val2 = 0.0f;
     } else {
-        val1 = codec_.decode(in1, scale_);
-        val2 = codec_.decode(in2, scale_);
+        val1 = normal_codec.decode(in1, scale);
+        val2 = normal_codec.decode(in2, scale);
     }
 }
 
@@ -558,28 +635,7 @@ OvpCodec::fakeQuantMse(std::span<const float> xs) const
 {
     if (xs.empty())
         return 0.0;
-    // Serial, element-order accumulation: must match
-    // stats::mse(xs, fakeQuant(xs)) bit-for-bit, and the calibration
-    // grid this serves already parallelizes across candidates (a nested
-    // parallelFor would run inline anyway).
-    const size_t pairs = (xs.size() + 1) / 2;
-    double acc = 0.0;
-    for (size_t p = 0; p < pairs; ++p) {
-        const float v1 = xs[2 * p];
-        const bool has2 = 2 * p + 1 < xs.size();
-        const float v2 = has2 ? xs[2 * p + 1] : 0.0f;
-        u32 c1, c2;
-        encodePair(v1, v2, c1, c2);
-        float q1, q2;
-        decodePair(c1, c2, q1, q2);
-        const double d1 = static_cast<double>(v1) - q1;
-        acc += d1 * d1;
-        if (has2) {
-            const double d2 = static_cast<double>(v2) - q2;
-            acc += d2 * d2;
-        }
-    }
-    return acc / static_cast<double>(xs.size());
+    return enc_.squaredError(xs) / static_cast<double>(xs.size());
 }
 
 } // namespace olive

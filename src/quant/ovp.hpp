@@ -17,6 +17,7 @@
 #define OLIVE_QUANT_OVP_HPP
 
 #include <array>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -84,27 +85,58 @@ enum class PairRole
 };
 
 /**
- * Tensor-level OVP codec for one (normal type, scale, threshold)
- * configuration.
+ * The scale-independent outlier side of one (normal type, abfloat bias)
+ * OVP format: the decoded value of every abfloat code and the encode
+ * boundary table between consecutive representable abfloat
+ * magnitudes, verified bit-exactly against AbFloat::encode when built.
+ * Building one takes hundreds of abfloat encodes for E4M3, so each
+ * table is built once per process on first use and then shared
+ * immutably by every encoder and codec of that format, the way
+ * NormalCodec::shared serves the normal side.
+ */
+class OutlierTables
+{
+  public:
+    /** The shared tables of @p normal's outlier type under @p bias. */
+    static const OutlierTables &shared(NormalType normal, int bias);
+
+    /** AbFloat::decode(code), the decoded grid value of @p code. */
+    double decoded(u32 code) const { return decoded_[code]; }
+
+    /**
+     * Abfloat code of a grid value already clipped to +-2^15: counts
+     * the magnitude boundaries below |grid| instead of running
+     * Algorithm 2's log2/round sequence.  Ties round away from zero,
+     * like the reference's llround.
+     */
+    u32 encode(double grid) const;
+
+  private:
+    OutlierTables(NormalType normal, const AbFloat &abfloat);
+
+    u32 sign_ = 0;                      //!< Sign bit of the code space.
+    std::array<double, 256> decoded_{}; //!< abfloat.decode(code).
+    // bounds_[i] is the midpoint between the i-th and (i+1)-th distinct
+    // representable abfloat magnitudes; a magnitude in interval i
+    // (< bounds_[i], >= the previous bound) encodes as codes_[i].
+    std::vector<double> bounds_;
+    std::vector<u32> codes_;
+};
+
+/**
+ * The encode half of one OVP format (Algorithm 1): normal type, scale,
+ * threshold and references to the shared NormalCodec and
+ * OutlierTables.  It holds no table of its own, so constructing one is
+ * a few scalar stores: the calibration search builds one per threshold
+ * candidate per KV row.
  *
  * Real values relate to the integer grid as real ~= scale * grid.  The
  * outlier threshold is a real-domain magnitude; the quantization
  * framework ties it to the scale (threshold = scale * max normal
- * magnitude), but the codec accepts them independently so ablations can
- * decouple them.
- *
- * Construction precomputes the decoded real value of every normal and
- * abfloat code under the fixed scale, so the per-pair hot paths are
- * table lookups.  The scale-independent parts (NormalCodec tables, the
- * abfloat decode/boundary tables and their verification) are cached per
- * type and only the two scaled value LUTs are filled per construction —
- * the calibration grid builds one codec per threshold candidate per KV
- * row, which made a full rebuild the dominant serving cost.  The
- * original per-scalar implementations are retained as *Reference()
- * oracles and are bit-identical to the fast paths
- * (tests/test_kernels_oracle.cpp asserts this exhaustively).
+ * magnitude), but the encoder accepts them independently so ablations
+ * can decouple them.
  */
-class OvpCodec
+class OvpEncoder
 {
   public:
     /**
@@ -115,13 +147,112 @@ class OvpCodec
      * @param abfloat_bias Adaptive bias; -1 selects the complementary
      *                  default for @p normal.
      */
-    OvpCodec(NormalType normal, float scale, double threshold,
-             int abfloat_bias = -1);
+    OvpEncoder(NormalType normal, float scale, double threshold,
+               int abfloat_bias = -1);
 
     NormalType normalType() const { return normal_; }
     const AbFloat &outlierType() const { return abfloat_; }
     float scale() const { return scale_; }
     double threshold() const { return threshold_; }
+    u32 identifier() const { return identifier_; }
+
+    /**
+     * Algorithm 1: encode one pair of reals into two codes.  Exactly one
+     * of the output codes may be the identifier.  Returns the role the
+     * encoder assigned to the pair.
+     */
+    PairRole encodePair(float val1, float val2, u32 &out1, u32 &out2) const;
+
+    /**
+     * The same pair encode through the search-based normal encoder and
+     * Algorithm 2 per scalar, with the per-call scale assert: the
+     * oracle of encodePair.
+     */
+    PairRole encodePairReference(float val1, float val2, u32 &out1,
+                                 u32 &out2) const;
+
+    /** Decoded real value of abfloat code @p code under the scale. */
+    float outlierValue(u32 code) const
+    {
+        return static_cast<float>(tables_->decoded(code)) * scale_;
+    }
+
+    /**
+     * The calibration scorer.  Sums the squared fake-quantization error
+     * (x - decode(encode(x)))^2 over @p xs in element order: with no
+     * @p limit this is exactly the accumulator of
+     * stats::mse(xs, fakeQuant(xs)) before its division, and
+     * OvpCodec::fakeQuantMse is this sum over n.
+     *
+     * Every term is non-negative and floating-point addition of a
+     * non-negative term never decreases a sum, so the running sum only
+     * grows: once it exceeds @p limit the complete sum would too, and
+     * the scan stops there and returns that partial sum (> limit).
+     * A return value <= limit is the complete sum.
+     *
+     * With @p packed non-null, the pair codes of every scored pair are
+     * written in encode()'s packed byte layout, so the winning
+     * candidate's codes are the row's bytes with no second encode.
+     *
+     * One loop per normal type.  Normal-normal pairs round inline
+     * through NormalCodec::nearestIndex; the rare pairs holding an
+     * outlier go through encodePair.
+     */
+    double squaredError(std::span<const float> xs,
+                        double limit = kNoLimit,
+                        u8 *packed = nullptr) const;
+
+    /** squaredError's default: score every element. */
+    static constexpr double kNoLimit =
+        std::numeric_limits<double>::infinity();
+
+  private:
+    /** Quantize one outlier value to an abfloat code (with 2^15 clip). */
+    template <bool kReference>
+    u32 quantizeOutlier(float val) const;
+
+    /** Shared body of encodePair / encodePairReference. */
+    template <bool kReference>
+    PairRole encodePairImpl(float val1, float val2, u32 &out1,
+                            u32 &out2) const;
+
+    /** squaredError for one normal type. */
+    template <NormalType T>
+    double squaredErrorFor(std::span<const float> xs, double limit,
+                           u8 *packed) const;
+
+    NormalType normal_;
+    const NormalCodec *codec_;    //!< NormalCodec::shared(normal_).
+    AbFloat abfloat_;
+    const OutlierTables *tables_; //!< OutlierTables::shared(...).
+    float scale_;
+    double threshold_;
+    u32 identifier_;
+};
+
+/**
+ * Tensor-level OVP codec for one (normal type, scale, threshold)
+ * configuration: an OvpEncoder plus decode.
+ *
+ * Construction precomputes the decoded real value of every normal and
+ * abfloat code under the fixed scale, so decodePair is two table
+ * lookups; the scale-independent tables come from NormalCodec::shared
+ * and OutlierTables::shared and are never copied.  The original
+ * per-scalar implementations are retained as *Reference() oracles and
+ * are bit-identical to the fast paths (tests/test_kernels_oracle.cpp
+ * asserts this exhaustively).
+ */
+class OvpCodec
+{
+  public:
+    /** Parameters as for OvpEncoder. */
+    OvpCodec(NormalType normal, float scale, double threshold,
+             int abfloat_bias = -1);
+
+    NormalType normalType() const { return enc_.normalType(); }
+    const AbFloat &outlierType() const { return enc_.outlierType(); }
+    float scale() const { return enc_.scale(); }
+    double threshold() const { return enc_.threshold(); }
 
     /** Bytes per encoded pair (1 for 4-bit types, 2 for int8). */
     size_t bytesPerPair() const;
@@ -133,12 +264,18 @@ class OvpCodec
      */
     static size_t bytesPerPair(NormalType t);
 
-    /**
-     * Algorithm 1: encode one pair of reals into two codes.  Exactly one
-     * of the output codes may be the identifier.  Returns the role the
-     * encoder assigned to the pair.
-     */
-    PairRole encodePair(float val1, float val2, u32 &out1, u32 &out2) const;
+    /** OvpEncoder::encodePair. */
+    PairRole encodePair(float val1, float val2, u32 &out1, u32 &out2) const
+    {
+        return enc_.encodePair(val1, val2, out1, out2);
+    }
+
+    /** OvpEncoder::encodePairReference. */
+    PairRole encodePairReference(float val1, float val2, u32 &out1,
+                                 u32 &out2) const
+    {
+        return enc_.encodePairReference(val1, val2, out1, out2);
+    }
 
     /** Inverse of encodePair: identifier slots decode to zero. */
     void decodePair(u32 in1, u32 in2, float &val1, float &val2) const;
@@ -179,73 +316,21 @@ class OvpCodec
 
     /**
      * Mean squared error of the fake-quantization round trip in one
-     * allocation-free pass: bit-identical to
-     * stats::mse(xs, fakeQuant(xs)) but without materializing either
-     * the byte stream or the round-tripped vector.  Runs serially — the
-     * accumulation order must match stats::mse exactly, and the
-     * calibration grid already parallelizes across candidates.
+     * allocation-free pass (OvpEncoder::squaredError over n):
+     * bit-identical to stats::mse(xs, fakeQuant(xs)) without
+     * materializing either the byte stream or the round-tripped
+     * vector.  Serial, because the accumulation order must match
+     * stats::mse exactly.
      */
     double fakeQuantMse(std::span<const float> xs) const;
 
-    /**
-     * The encodePair used by fakeQuantReference: search-based normal
-     * encode with the per-call scale assert.  Exposed for the oracle
-     * tests and the micro benchmark.
-     */
-    PairRole encodePairReference(float val1, float val2, u32 &out1,
-                                 u32 &out2) const;
-
   private:
-    /**
-     * Quantize one outlier value to an abfloat code (with 2^15 clip).
-     * Fast path: counts precomputed midpoint boundaries between the
-     * distinct representable abfloat magnitudes instead of running
-     * Algorithm 2's log2/round sequence per scalar.  The boundary
-     * semantics (ties round away from zero, like llround) are verified
-     * against AbFloat::encode at construction.
-     */
-    u32 quantizeOutlier(float val) const;
+    OvpEncoder enc_;
 
-    /** Algorithm 2 per scalar, the oracle for quantizeOutlier(). */
-    u32 quantizeOutlierReference(float val) const;
-
-    /** Shared clip + sign handling of the two outlier quantizers. */
-    template <bool kReference>
-    u32 quantizeOutlierImpl(float val) const;
-
-    /** Shared body of encodePair / encodePairReference. */
-    template <bool kReference>
-    PairRole encodePairImpl(float val1, float val2, u32 &out1,
-                            u32 &out2) const;
-
-    NormalType normal_;
-    /**
-     * The shared immutable per-type instance (NormalCodec::shared):
-     * codecs are constructed per threshold candidate per KV row, so
-     * even copying the ~7 KB of tables was measurable.  A reference
-     * member leaves OvpCodec copy-constructible (construct-in-place
-     * everywhere) but not assignable, which nothing needs.
-     */
-    const NormalCodec &codec_;
-    AbFloat abfloat_;
-    float scale_;
-    double threshold_;
-
-    // Per-pair constants and decode value LUTs, fixed at construction:
-    // the decoded real value of every normal / abfloat code under
-    // scale_, computed with exactly the reference expressions.
-    u32 identifier_;
+    // Decoded real value of every normal / abfloat code under the
+    // scale, computed with exactly the reference expressions.
     std::array<float, 256> normalValue_{};
     std::array<float, 256> outlierValue_{};
-
-    // Outlier encode boundary table: outlierBounds_[i] is the midpoint
-    // between the i-th and (i+1)-th distinct representable abfloat
-    // magnitudes; a magnitude in interval i (mag < bounds[i], >= the
-    // previous) encodes as outlierCodes_[i].  outlierSign_ is the sign
-    // bit of the abfloat code space.
-    std::vector<double> outlierBounds_;
-    std::vector<u32> outlierCodes_;
-    u32 outlierSign_ = 0;
 };
 
 } // namespace olive

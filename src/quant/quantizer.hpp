@@ -56,19 +56,34 @@ class OliveQuantizer
 
     /**
      * Search the threshold (and normal type) minimizing sample MSE.
-     * Each grid candidate is scored with a single allocation-free MSE
-     * pass over the shared sample (OvpCodec::fakeQuantMse), so no
-     * per-candidate byte stream or round-trip vector is materialized.
+     * Returns bit-for-bit the decision of calibrateReference() (type,
+     * scale, threshold and MSE) while scoring a fraction of the pairs:
+     * candidates are visited nearest-3-sigma first and each stops being
+     * scored once its running squared error shows it cannot beat the
+     * best so far (OvpEncoder::squaredError; DESIGN.md "Calibration
+     * layer" gives the exactness argument).  Serial; a row of up to 512
+     * elements (a KV row) is calibrated without a heap allocation.
      * @pre xs is non-empty and not all zeros.
      */
     QuantDecision calibrate(std::span<const float> xs) const;
 
     /**
-     * The pre-fusion grid search: per candidate, a full fake-quant
-     * round trip (encode -> byte stream -> decode) scored with
-     * stats::mse.  Retained as the decision oracle and the "before"
-     * baseline of bench_micro_kernels; returns exactly the same
-     * winning type/threshold/scale/MSE as calibrate().
+     * calibrate() that also writes xs's OVP bytes under the decision to
+     * @p out, identical to makeCodec(d).encode(xs).  When xs is scored
+     * whole (xs.size() <= sampleCap, e.g. a KV row) these are the
+     * winning candidate's codes kept from scoring, with no second
+     * encode pass.
+     * @pre out.size() == ((xs.size() + 1) / 2) * bytes per pair
+     */
+    QuantDecision calibrateEncode(std::span<const float> xs,
+                                  std::span<u8> out) const;
+
+    /**
+     * The pre-fusion grid search: per candidate, in grid order, a full
+     * fake-quant round trip (encode -> byte stream -> decode) scored
+     * with stats::mse, keeping the first strictly better candidate.
+     * Retained as the decision oracle and the "before" baseline of
+     * bench_micro_kernels.
      */
     QuantDecision calibrateReference(std::span<const float> xs) const;
 
@@ -83,7 +98,19 @@ class OliveQuantizer
     /** Pair-aligned subsample of at most sampleCap elements. */
     std::vector<float> sample(std::span<const float> xs) const;
 
+    /**
+     * The early-abandon search over @p s; with @p packed non-null also
+     * writes the winner's packed codes of s there.
+     */
+    QuantDecision search(std::span<const float> s, u8 *packed) const;
+
     OliveConfig config_;
+    // Per-config search invariants, fixed at construction.  Grid index
+    // idx = type * searchPoints + i is candidate i (threshold
+    // t0 * mult_[i]) of normal type types_[type].
+    std::vector<NormalType> types_;
+    std::vector<double> mult_;
+    std::vector<u32> order_; //!< Grid indices in visit order.
 };
 
 } // namespace olive

@@ -1,10 +1,8 @@
 #include "kv_cache.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
-#include <unordered_map>
 
 #include "baselines/uniform.hpp"
 #include "block_pool.hpp"
@@ -24,45 +22,6 @@ withBits(OliveConfig config, int bits)
 {
     config.bits = bits;
     return config;
-}
-
-/**
- * Decode-side OvpCodec amortization.  Constructing an OvpCodec builds
- * 256-entry value LUTs plus the outlier boundary tables — fine once per
- * tensor, wasteful once per cached row per decode step, because the
- * attention kernel re-decodes every cached row on every step and a
- * row's (normal type, scale) recurs unchanged across all of them.  The
- * codec's decode side is a pure function of (normal, scale): the
- * threshold only shapes encode-time pair classification
- * (KvScheme.OvpDecodeIsThresholdIndependent pins this), and OvpKvScheme
- * always uses the default complementary abfloat bias.  So decode codecs
- * are cached per (normal, scale-bits) key.
- *
- * The cache is thread_local: decodeRow runs concurrently across rows
- * under par::parallelFor, and a per-thread map needs no locks while
- * staying bit-deterministic (every thread constructs the identical
- * codec from the identical key).  Bounded so adversarial scale churn
- * cannot grow it without limit.
- */
-const OvpCodec &
-cachedDecodeCodec(NormalType normal, float scale)
-{
-    thread_local std::unordered_map<u64, std::unique_ptr<OvpCodec>> cache;
-    const u64 key = (static_cast<u64>(std::bit_cast<u32>(scale)) << 8) |
-                    static_cast<u64>(static_cast<u8>(normal));
-    auto it = cache.find(key);
-    if (it == cache.end()) {
-        if (cache.size() >= 4096)
-            cache.clear();
-        // The threshold argument is irrelevant to decode; any positive
-        // value yields the same decode LUTs under this (normal, scale).
-        it = cache
-                 .emplace(key, std::make_unique<OvpCodec>(
-                                   normal, scale,
-                                   static_cast<double>(scale)))
-                 .first;
-    }
-    return *it->second;
 }
 
 } // namespace
@@ -121,15 +80,15 @@ OvpKvScheme::encodeRow(std::span<const float> row, std::vector<u8> &bytes,
         bytes.resize(bytes.size() + rowBytes(row.size()), 0);
         return;
     }
-    const QuantDecision d = quantizer_.calibrate(row);
-    const OvpCodec codec = quantizer_.makeCodec(d);
-    const std::vector<u8> enc = codec.encode(row);
-    OLIVE_ASSERT(enc.size() == rowBytes(row.size()),
-                 "OVP row payload size drifted from rowBytes()");
+    // The winning candidate's codes from the calibration search are the
+    // row's payload: no second encode pass.
+    const size_t off = bytes.size();
+    bytes.resize(off + rowBytes(row.size()));
+    const QuantDecision d = quantizer_.calibrateEncode(
+        row, std::span<u8>(bytes).subspan(off));
     meta.scale = d.scale;
     meta.threshold = d.threshold;
     meta.normal = d.normal;
-    bytes.insert(bytes.end(), enc.begin(), enc.end());
 }
 
 void
@@ -140,10 +99,13 @@ OvpKvScheme::decodeRow(std::span<const u8> bytes, const KvRowMeta &meta,
         std::fill(out.begin(), out.end(), 0.0f);
         return;
     }
-    // Construction amortized across rows and steps sharing a (normal,
-    // scale); bit-identical to a freshly constructed codec
-    // (KvScheme.OvpDecodeCodecCacheIsBitIdentical pins this).
-    const OvpCodec &codec = cachedDecodeCodec(meta.normal, meta.scale);
+    // Decode is a pure function of (normal, scale): the threshold only
+    // shapes encode-side pair classification
+    // (KvScheme.OvpDecodeIsThresholdIndependent), so any positive value
+    // serves.  Per-row calibration gives almost every row its own
+    // scale, so the codec is built per row rather than looked up.
+    const OvpCodec codec(meta.normal, meta.scale,
+                         static_cast<double>(meta.scale));
     const std::vector<float> vals = codec.decode(bytes, out.size());
     std::copy(vals.begin(), vals.end(), out.begin());
 }

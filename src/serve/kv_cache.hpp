@@ -105,10 +105,11 @@ class Fp32KvScheme : public KvScheme
 /**
  * OVP KV cache rows: each row is calibrated with the OliVe per-tensor
  * quantizer (MSE threshold search, adaptive int4/flint4 type at 4 bits)
- * and packed with OvpCodec — identical bytes to a DRAM-resident OliVe
- * tensor.  Per-row calibration is the KV-cache analogue of per-tensor
- * PTQ: a row is one token's K (or V) projection, and token outliers are
- * exactly what OVP absorbs.
+ * and packed with the winning candidate's codes from that search
+ * (OliveQuantizer::calibrateEncode) — identical bytes to a
+ * DRAM-resident OliVe tensor.  Per-row calibration is the KV-cache
+ * analogue of per-tensor PTQ: a row is one token's K (or V) projection,
+ * and token outliers are exactly what OVP absorbs.
  */
 class OvpKvScheme : public KvScheme
 {

@@ -1,8 +1,10 @@
 #include "stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
+#include <vector>
 
 #include "common.hpp"
 
@@ -65,11 +67,23 @@ robustSigma(std::span<const float> xs)
 {
     if (xs.size() < 2)
         return 0.0;
-    std::vector<float> absdev(xs.size());
-    const double med = percentile(xs, 50.0);
-    for (size_t i = 0; i < xs.size(); ++i)
-        absdev[i] = static_cast<float>(std::fabs(xs[i] - med));
-    return percentile(absdev, 50.0) / 0.6745;
+    // One working copy for both medians (on a stack buffer for rows up
+    // to d = 512): the absolute deviations overwrite the values in
+    // place, since an order statistic depends only on the multiset.
+    std::array<float, 512> stack_buf{};
+    std::vector<float> heap_buf;
+    std::span<float> buf;
+    if (xs.size() <= stack_buf.size()) {
+        buf = std::span<float>(stack_buf).first(xs.size());
+    } else {
+        heap_buf.resize(xs.size());
+        buf = heap_buf;
+    }
+    std::copy(xs.begin(), xs.end(), buf.begin());
+    const double med = percentileInPlace(buf, 50.0);
+    for (float &v : buf)
+        v = static_cast<float>(std::fabs(v - med));
+    return percentileInPlace(buf, 50.0) / 0.6745;
 }
 
 double
@@ -131,8 +145,15 @@ double
 percentile(std::span<const float> xs, double p)
 {
     OLIVE_ASSERT(!xs.empty(), "percentile of empty span");
-    OLIVE_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
     std::vector<float> v(xs.begin(), xs.end());
+    return percentileInPlace(v, p);
+}
+
+double
+percentileInPlace(std::span<float> v, double p)
+{
+    OLIVE_ASSERT(!v.empty(), "percentile of empty span");
+    OLIVE_ASSERT(p >= 0.0 && p <= 100.0, "percentile out of range");
     const double rank = p / 100.0 * static_cast<double>(v.size() - 1);
     const size_t lo = static_cast<size_t>(rank);
     const size_t hi = std::min(lo + 1, v.size() - 1);

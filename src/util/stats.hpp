@@ -53,6 +53,9 @@ double geomean(std::span<const double> xs);
 /** p-th percentile (0..100) via linear interpolation on a sorted copy. */
 double percentile(std::span<const float> xs, double p);
 
+/** percentile() of @p v, reordering @p v instead of copying it. */
+double percentileInPlace(std::span<float> v, double p);
+
 /** Pearson correlation coefficient of two equally sized spans. */
 double pearson(std::span<const float> a, std::span<const float> b);
 

@@ -10,8 +10,12 @@
  *  - OvpCodec: all code pairs through decodePair for both abfloat
  *    widths, dense outlier quantization sweeps, and full-tensor
  *    encode/decode/fakeQuant round trips against the pre-LUT reference.
- *  - OliveQuantizer: fakeQuantMse == stats::mse(s, fakeQuant(s)) and
- *    calibrate() decision == calibrateReference() decision.
+ *  - OliveQuantizer: fakeQuantMse == stats::mse(s, fakeQuant(s)), and
+ *    the early-abandon calibrate() decision == calibrateReference()
+ *    decision bitwise (CalibrateDecision: 100 seeds x {olive4, olive8}
+ *    on synthetic rows, on the eval-dims GPT2-XL LM's K/V rows and on
+ *    rows whose grid has exact MSE ties), with calibrateEncode's bytes
+ *    equal to the codec's encode().
  *  - GEMM: the tile-staged matmul/matmulTransB/linearForward bytewise
  *    against the untiled references, at the eval-dims weight shapes and
  *    at column/inner tails that are not multiples of the 16 x 8 staged
@@ -21,11 +25,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "eval/perplexity.hpp"
+#include "models/config.hpp"
+#include "oracle/reference.hpp"
 #include "quant/quantizer.hpp"
+#include "serve/kv_cache.hpp"
 #include "tensor/gemm.hpp"
 #include "util/parallel.hpp"
 #include "util/random.hpp"
@@ -116,8 +127,10 @@ TEST_P(NormalCodecOracle, EncodeMatchesReferenceAtMidpointsAndNeighbours)
 TEST_P(NormalCodecOracle, EncodeMatchesReferenceOnExtremes)
 {
     const NormalCodec codec(GetParam());
-    for (const float x : {-1e30f, -65536.0f, -0.0f, 0.0f, 1e-30f, 65536.0f,
-                          1e30f}) {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    for (const float x : {-kInf, -1e30f, -65536.0f, -0.0f, 0.0f, 1e-30f,
+                          65536.0f, 1e30f, kInf,
+                          std::numeric_limits<float>::quiet_NaN()}) {
         EXPECT_EQ(codec.encode(x, 0.5f), codec.encodeReference(x, 0.5f))
             << "x=" << x;
     }
@@ -240,6 +253,237 @@ TEST(CalibrateOracle, DecisionMatchesReferenceGrid)
         EXPECT_EQ(fast.scale, ref.scale);
         EXPECT_EQ(fast.threshold, ref.threshold);
         EXPECT_EQ(fast.mse, ref.mse);
+    }
+}
+
+namespace calib_props {
+
+/** Bitwise decision equality: type, then scale/threshold/MSE bits. */
+::testing::AssertionResult
+sameDecision(const QuantDecision &fast, const QuantDecision &ref)
+{
+    if (fast.normal == ref.normal &&
+        std::memcmp(&fast.scale, &ref.scale, sizeof(float)) == 0 &&
+        std::memcmp(&fast.threshold, &ref.threshold, sizeof(double)) == 0 &&
+        std::memcmp(&fast.mse, &ref.mse, sizeof(double)) == 0)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "calibrate " << toString(fast.normal) << " scale " << fast.scale
+           << " threshold " << fast.threshold << " mse " << fast.mse
+           << " vs reference " << toString(ref.normal) << " scale "
+           << ref.scale << " threshold " << ref.threshold << " mse "
+           << ref.mse;
+}
+
+/**
+ * calibrate() and calibrateEncode() against the reference grid: the
+ * same decision bit for bit, and calibrateEncode's bytes equal to a
+ * fresh codec's encode() under that decision.
+ */
+void
+expectMatchesReference(const OliveQuantizer &q, std::span<const float> row,
+                       const std::string &what)
+{
+    const QuantDecision ref = q.calibrateReference(row);
+    EXPECT_TRUE(sameDecision(q.calibrate(row), ref)) << what;
+    const std::vector<u8> expect = q.makeCodec(ref).encode(row);
+    std::vector<u8> bytes(expect.size(), 0xA5);
+    EXPECT_TRUE(sameDecision(q.calibrateEncode(row, bytes), ref)) << what;
+    EXPECT_EQ(bytes, expect) << what;
+}
+
+OliveQuantizer
+olive(int bits)
+{
+    OliveConfig c;
+    c.bits = bits;
+    return OliveQuantizer(c);
+}
+
+/** A KV scheme that keeps a copy of every row it is asked to encode. */
+class RecordingScheme final : public serve::Fp32KvScheme
+{
+  public:
+    void encodeRow(std::span<const float> row, std::vector<u8> &bytes,
+                   serve::KvRowMeta &meta) const override
+    {
+        rows.emplace_back(row.begin(), row.end());
+        Fp32KvScheme::encodeRow(row, bytes, meta);
+    }
+
+    mutable std::vector<std::vector<float>> rows;
+};
+
+/**
+ * The K and V rows every layer of the eval-dims GPT2-XL LM appends for
+ * a short seeded prompt (contiguous reference caches encode rows one by
+ * one, in order).
+ */
+std::vector<std::vector<float>>
+lmKvRows(u64 seed)
+{
+    static const eval::LmModel lm = eval::makeLm(models::gpt2Xl(), 7);
+    RecordingScheme recorder;
+    serve::DecodeState state = oracle::makeReferenceState(lm.backbone,
+                                                          recorder);
+    Rng rng(seed);
+    std::vector<int> prompt(3);
+    for (int &t : prompt)
+        t = static_cast<int>(rng.uniformInt(lm.vocab));
+    lm.backbone.forwardChunk(lm.embed(prompt), state);
+    return recorder.rows;
+}
+
+/**
+ * Every candidate MSE of the reference grid for @p row, recomputed the
+ * way calibrateReference scores it (grid order: type, then threshold).
+ */
+std::vector<double>
+referenceGridMse(const OliveConfig &c, std::span<const float> row)
+{
+    const double sigma = stats::robustSigma(row);
+    const double t0 = sigma > 0.0 ? 3.0 * sigma : stats::absMax(row);
+    std::vector<NormalType> types = {NormalType::Int8};
+    if (c.bits == 4)
+        types = {NormalType::Int4, NormalType::Flint4};
+    std::vector<double> mses;
+    for (const NormalType t : types) {
+        for (int i = 0; i < c.searchPoints; ++i) {
+            const double frac = static_cast<double>(i) /
+                                static_cast<double>(c.searchPoints - 1);
+            const double threshold =
+                t0 * c.searchLo * std::pow(c.searchHi / c.searchLo, frac);
+            const auto scale =
+                static_cast<float>(threshold / maxNormalMagnitude(t));
+            const OvpCodec codec(t, scale, threshold);
+            mses.push_back(stats::mse(row, codec.fakeQuantReference(row)));
+        }
+    }
+    return mses;
+}
+
+} // namespace calib_props
+
+// The early-abandon search must return the reference grid's decision
+// bit for bit.  100 seeds x {olive4, olive8} x heavy-tailed rows of the
+// lengths that reach every pair-loop edge (a lone padded element, one
+// pair, a pair plus a pad, odd and even KV widths) and GPT2-XL's full
+// d_model of 1600.
+TEST(CalibrateDecision, SyntheticRowsMatchReferenceBitwise)
+{
+    using namespace calib_props;
+    for (const int bits : {4, 8}) {
+        const OliveQuantizer q = olive(bits);
+        for (u64 seed = 0; seed < 100; ++seed) {
+            for (const size_t n : {1ul, 2ul, 3ul, 127ul, 128ul, 1600ul}) {
+                const auto row = heavyTailData(n, 1000 * seed + n, 0.02,
+                                               1.0 + 0.1 * seed, 40.0);
+                expectMatchesReference(q, row,
+                                       "olive" + std::to_string(bits) +
+                                           " seed " + std::to_string(seed) +
+                                           " n " + std::to_string(n));
+            }
+        }
+    }
+}
+
+// The rows the serving cache actually calibrates: K and V projections of
+// the eval-dims GPT2-XL LM, three prompt tokens per seed.
+TEST(CalibrateDecision, LmKvRowsMatchReferenceBitwise)
+{
+    using namespace calib_props;
+    const OliveQuantizer q4 = olive(4);
+    const OliveQuantizer q8 = olive(8);
+    for (u64 seed = 0; seed < 100; ++seed) {
+        const auto rows = lmKvRows(seed);
+        ASSERT_EQ(rows.size(), 4u * 3u * 2u); // layers x tokens x {K, V}
+        for (size_t r = 0; r < rows.size(); ++r) {
+            const std::string what =
+                "seed " + std::to_string(seed) + " row " + std::to_string(r);
+            expectMatchesReference(q4, rows[r], "olive4 " + what);
+            expectMatchesReference(q8, rows[r], "olive8 " + what);
+        }
+    }
+}
+
+// Exact MSE ties between grid candidates: the search visits candidates
+// out of grid order (nearest 3 sigma first), so a tie must still go to
+// the lower grid index — a later-indexed candidate abandons on an equal
+// partial mean, an earlier one replaces an equal best.  Rows are kept
+// only when a scan of the reference grid shows the tie.
+TEST(CalibrateDecision, GridTiesResolveToTheFirstCandidate)
+{
+    using namespace calib_props;
+    for (const int bits : {4, 8}) {
+        // A threshold range around 3 sigma narrower than a float ulp of
+        // the scale: the candidates share their scale and classify every
+        // element alike, so they tie in runs around the first-visited
+        // middle candidate, and the lowest index of the best run must
+        // win.
+        OliveConfig narrow;
+        narrow.bits = bits;
+        narrow.searchLo = 1.0 - 1e-12;
+        narrow.searchHi = 1.0 + 1e-12;
+        const OliveQuantizer qn(narrow);
+        for (u64 seed = 0; seed < 20; ++seed) {
+            const auto row = heavyTailData(128, 500 + seed);
+            std::vector<double> mses = referenceGridMse(narrow, row);
+            std::sort(mses.begin(), mses.end());
+            ASSERT_EQ(mses[0], mses[1])
+                << "olive" << bits << " seed " << seed;
+            expectMatchesReference(qn, row,
+                                   "narrow olive" + std::to_string(bits) +
+                                       " seed " + std::to_string(seed));
+        }
+
+        // Ties the default grid produces on small-integer rows: at the
+        // minimum for olive4 (int4 vs flint4 at one threshold); olive8's
+        // grid shows none at the minimum in this scan, so any tie.
+        const OliveQuantizer q = olive(bits);
+        int tied_rows = 0;
+        for (u64 seed = 0; seed < 2000; ++seed) {
+            Rng rng(seed);
+            std::vector<float> row(1 + rng.uniformInt(8));
+            for (float &v : row)
+                v = static_cast<float>(static_cast<int>(rng.uniformInt(9)) -
+                                       4);
+            if (stats::absMax(row) == 0.0)
+                continue;
+            std::vector<double> mses = referenceGridMse(q.config(), row);
+            std::sort(mses.begin(), mses.end());
+            const bool tie = bits == 4
+                                 ? mses[0] == mses[1]
+                                 : std::adjacent_find(mses.begin(),
+                                                      mses.end()) !=
+                                       mses.end();
+            if (!tie)
+                continue;
+            ++tied_rows;
+            expectMatchesReference(q, row,
+                                   "olive" + std::to_string(bits) +
+                                       " tie row seed " +
+                                       std::to_string(seed));
+        }
+        EXPECT_GT(tied_rows, 0) << "no tied row found for olive" << bits;
+    }
+}
+
+// calibrateEncode's byte paths beyond a KV row: winner codes kept in a
+// heap buffer (a row of more than 1024 code bytes) and a row
+// over sampleCap, scored on its sample and then encoded whole.
+TEST(CalibrateDecision, CalibrateEncodeMatchesCodecEncodeOnLargeRows)
+{
+    using namespace calib_props;
+    for (const int bits : {4, 8}) {
+        const OliveQuantizer q = olive(bits);
+        for (const size_t n : {5000ul, 10001ul}) {
+            const auto row = heavyTailData(n, 77 + n);
+            const QuantDecision d = q.calibrate(row);
+            const std::vector<u8> expect = q.makeCodec(d).encode(row);
+            std::vector<u8> bytes(expect.size());
+            EXPECT_TRUE(sameDecision(q.calibrateEncode(row, bytes), d));
+            EXPECT_EQ(bytes, expect) << "olive" << bits << " n " << n;
+        }
     }
 }
 

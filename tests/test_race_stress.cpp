@@ -3,7 +3,7 @@
  * Concurrency stress tier (CTest label "race"): hammers every
  * cross-thread seam of the serving stack with real std::threads so the
  * TSan build has races to find and the mutex/atomic protocols have
- * witnesses.  Six seams, matching the documented lock inventory:
+ * witnesses.  Seven seams, matching the documented lock inventory:
  *
  *  1. DecodedBlockCache acquire/release churn over overlapping block
  *     ids, with a capacity cap small enough to force constant eviction
@@ -26,6 +26,9 @@
  *     submitter (multi-turn chat via finishedSnapshot), cancellers,
  *     and a snapshot poller watching the retention counters stay
  *     monotone and the pool accounting stay whole-block.
+ *  7. First use of the shared OutlierTables: threads race to build
+ *     every (normal type, bias) slot and read through the published
+ *     instance.
  *
  * Functional assertions here are deliberately coarse (exact values are
  * checked by the serial suites); the point of this tier is that every
@@ -48,6 +51,7 @@
 #include "eval/perplexity.hpp"
 #include "models/config.hpp"
 #include "models/synthetic.hpp"
+#include "quant/ovp.hpp"
 #include "serve/block_pool.hpp"
 #include "serve/decoded_cache.hpp"
 #include "serve/engine.hpp"
@@ -708,6 +712,50 @@ TEST(RaceStress, RetentionEvictionRacesSubmitCancelSnapshot)
     EXPECT_EQ(eng.retainedBlockCount(), 0u);
     EXPECT_EQ(eng.blockPool()->blocksInUse(), 0u);
     EXPECT_EQ(eng.blockPool()->retainedBlocks(), 0u);
+}
+
+// Seam 7: the shared OutlierTables are built on first use under a lock
+// and then read lock-free through an acquire load.  Threads start on
+// different slots and race through all 123 (normal type, bias) keys
+// (each ctest leg is a fresh process, so every slot is unbuilt); every
+// thread must get the same instance per key, and its contents must read
+// the same.
+TEST(RaceStress, OutlierTablesFirstUseRaces)
+{
+    constexpr NormalType kTypes[] = {NormalType::Int4, NormalType::Flint4,
+                                     NormalType::Int8};
+    constexpr int kBiases = 41;
+    constexpr int kSlots = 3 * kBiases;
+    constexpr int kThreads = 4;
+    struct Seen
+    {
+        const OutlierTables *tables = nullptr;
+        u32 code = 0;
+        double decoded = 0.0;
+    };
+    std::vector<std::vector<Seen>> seen(kThreads,
+                                        std::vector<Seen>(kSlots));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&seen, &kTypes, t] {
+            for (int i = 0; i < kSlots; ++i) {
+                const int slot = (i + t * kSlots / kThreads) % kSlots;
+                const OutlierTables &tabs = OutlierTables::shared(
+                    kTypes[slot / kBiases], slot % kBiases);
+                seen[t][slot] = {&tabs, tabs.encode(-100.0),
+                                 tabs.decoded(1)};
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 1; t < kThreads; ++t) {
+        for (int slot = 0; slot < kSlots; ++slot) {
+            EXPECT_EQ(seen[t][slot].tables, seen[0][slot].tables) << slot;
+            EXPECT_EQ(seen[t][slot].code, seen[0][slot].code) << slot;
+            EXPECT_EQ(seen[t][slot].decoded, seen[0][slot].decoded) << slot;
+        }
+    }
 }
 
 } // namespace

@@ -235,9 +235,9 @@ TEST(KvScheme, Int8RowMatchesUniformFakeQuant)
 
 TEST(KvScheme, OvpDecodeCodecCacheIsBitIdentical)
 {
-    // decodeRow amortizes OvpCodec construction across rows and steps
-    // sharing a (normal type, scale); the cached codec must decode
-    // exactly like a codec freshly constructed from the row's meta.
+    // decodeRow builds its codec from the row's (normal type, scale)
+    // alone; it must decode exactly like a codec freshly constructed
+    // from the row's full meta, threshold included.
     for (int bits : {4, 8}) {
         const serve::OvpKvScheme s(bits);
         for (u64 seed : {31u, 32u, 33u}) {
@@ -250,8 +250,8 @@ TEST(KvScheme, OvpDecodeCodecCacheIsBitIdentical)
             const OvpCodec fresh(meta.normal, meta.scale, meta.threshold);
             const std::vector<float> ref = fresh.decode(bytes, row.size());
             EXPECT_TRUE(bitIdentical(cached, ref)) << bits << ":" << seed;
-            // The second decode is a guaranteed cache hit — and must
-            // still be byte-for-byte the fresh-codec result.
+            // A second decode of the same row is byte-for-byte the
+            // first.
             std::vector<float> again(row.size());
             s.decodeRow(bytes, meta, again);
             EXPECT_TRUE(bitIdentical(cached, again)) << bits << ":" << seed;
